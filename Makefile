@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDDS$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzApplyConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=3s ./internal/sparql/
+	$(GO) test -run='^$$' -fuzz='^FuzzResultsJSON$$' -fuzztime=3s ./internal/sparql/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=3s ./internal/strabon/
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=3s ./internal/segment/

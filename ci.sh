@@ -85,6 +85,7 @@ go test -run='^$' -fuzz='^FuzzParseDDS$' -fuzztime=2s ./internal/opendap/
 go test -run='^$' -fuzz='^FuzzApplyConstraint$' -fuzztime=2s ./internal/opendap/
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=3s ./internal/sparql/
 go test -run='^$' -fuzz='^FuzzPlanKey$' -fuzztime=3s ./internal/sparql/
+go test -run='^$' -fuzz='^FuzzResultsJSON$' -fuzztime=3s ./internal/sparql/
 go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=3s ./internal/strabon/
 go test -run='^$' -fuzz='^FuzzSegmentOpen$' -fuzztime=3s ./internal/segment/
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=3s ./internal/segment/

@@ -46,7 +46,7 @@ func main() {
 
 		resultCache     = flag.Int("result-cache", 0, "plan-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
 		cacheTTL        = flag.Duration("cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
-		cacheBytes      = flag.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
+		cacheBytes      = flag.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the exact response-body length (0 = entry-count bound only)")
 		promoteAfter    = flag.Int("promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")
 		revalidateEvery = flag.Duration("revalidate-every", time.Minute, "how often a promoted region's upstream content stamp is rechecked; drift demotes back to the virtual path")
 

@@ -88,7 +88,7 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 
 		resultCache = fs.Int("result-cache", 0, "plan-keyed result cache capacity in entries (0 disables); served responses carry X-Applab-Cache")
 		cacheTTL    = fs.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = epoch-validated only; set this when federating with remote endpoints, whose ingests are invisible to epoch validation)")
-		cacheBytes  = fs.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the exact response-body length (0 = entry-count bound only)")
 
 		clusterNode        = fs.String("cluster-node", "", "serve this process as a cluster shard node on the given address (node mode; other serving flags are ignored)")
 		clusterSpec        = fs.String("cluster", "", "replica groups of node addresses, ';' between groups and ',' within (coordinator mode; e.g. \"a:1,b:2;b:2,c:3;c:3,a:1\")")

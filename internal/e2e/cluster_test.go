@@ -114,6 +114,8 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	if !equalRows(goldenRows, canonical(t, res)) {
 		t.Fatalf("healthy cluster diverged from golden store")
 	}
+	wantEncoding(t, "golden store", goldenRes)
+	wantEncoding(t, "healthy cluster", res)
 
 	// Kill n2 mid-workload. n2 leads replica group 1, so each fan-out
 	// pattern scan fails over to n3 and records one n2 failure; three
@@ -145,6 +147,7 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	if !equalRows(goldenRows, canonical(t, res)) {
 		t.Fatalf("mid-kill workflow diverged from golden store")
 	}
+	wantEncoding(t, "mid-kill cluster", res)
 	s2 := reg.Snapshot()
 	if got := counterDelta(s1, s2, `cluster_replica_errors_total{node="n2"}`); got != 0 {
 		t.Fatalf("demoted n2 was contacted %d times", got)

@@ -1,6 +1,8 @@
 package e2e
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"sort"
@@ -52,6 +54,20 @@ func equalRows(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// wantEncoding asserts that the streaming encoder the endpoint and the
+// result cache use writes res byte for byte as the endpoint's reference
+// form, endpoint.ResultsJSON through encoding/json.
+func wantEncoding(t *testing.T, stage string, res *sparql.Results) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(endpoint.ResultsJSON(res)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sparql.AppendResultsJSON(nil, res); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("%s: AppendResultsJSON differs from encoding/json:\n got: %.300s\nwant: %.300s", stage, got, want.Bytes())
+	}
 }
 
 // counterDelta returns after[name] - before[name]; absent series are 0.
@@ -177,6 +193,8 @@ func TestGoldenWorkflows(t *testing.T) {
 	if !equalRows(canonical(t, flyRes), canonical(t, flyRes2)) {
 		t.Error("cached on-the-fly query answered differently from the cold one")
 	}
+	wantEncoding(t, "fly cold", flyRes)
+	wantEncoding(t, "fly warm", flyRes2)
 
 	// Stage 3: materialized workflow — the same grid through the
 	// GeoTriples-style converter into Strabon.
@@ -204,6 +222,7 @@ func TestGoldenWorkflows(t *testing.T) {
 		t.Errorf("workflows disagree:\n  on-the-fly  %v\n  materialized %v",
 			canonical(t, flyRes), canonical(t, matRes))
 	}
+	wantEncoding(t, "materialized", matRes)
 
 	// Stage 4: federated query — the materialized store as the local
 	// member plus a live SPARQL endpoint over the same data as the
@@ -261,6 +280,7 @@ func TestGoldenWorkflows(t *testing.T) {
 	if !equalRows(canonical(t, fedRes), canonical(t, matRes)) {
 		t.Error("federated query answered differently from the local store")
 	}
+	wantEncoding(t, "federated", fedRes)
 
 	// The endpoint traced every remote pattern query: parse/eval/encode
 	// spans, all zero seconds under the fake clock. The ring keeps the
@@ -444,5 +464,11 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	}
 	if !equalRows(pairs(t, baseStore, "a", "gb"), pairs(t, storeRes, "a", "gb")) {
 		t.Error("store pushdown diverged from the filter path")
+	}
+	for name, res := range map[string]*sparql.Results{
+		"filter generic": baseGeneric, "filter store": baseStore,
+		"inl": inlRes, "cells": cellsRes, "store": storeRes,
+	} {
+		wantEncoding(t, name, res)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"applab/internal/obda"
 	"applab/internal/opendap"
 	"applab/internal/segment"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
@@ -129,5 +130,11 @@ func TestSegmentDifferentialWorkflows(t *testing.T) {
 	}
 	if !equalRows(oracle, canonical(t, fedRes)) {
 		t.Fatalf("federated workflow over the segment store diverged")
+	}
+	for name, res := range map[string]*sparql.Results{
+		"on-the-fly": flyRes, "memory": memRes, "segment warm": diskRes,
+		"segment cold": coldRes, "federated": fedRes,
+	} {
+		wantEncoding(t, name, res)
 	}
 }

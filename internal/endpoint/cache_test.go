@@ -6,6 +6,8 @@ package endpoint
 // Degraded source), and bypass for sources without a cache identity.
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +21,7 @@ import (
 	"applab/internal/faults"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/telemetry"
 )
@@ -232,5 +235,106 @@ func TestHandlerCacheBypass(t *testing.T) {
 	}
 	if got := reg.Counter("rescache_bypass_total").Value(); got != 2 {
 		t.Errorf("rescache_bypass_total = %d, want 2", got)
+	}
+}
+
+// renamedBody is the reference encoding of a decoded body with its
+// columns renamed by names.
+func renamedBody(t *testing.T, body string, names map[string]string) string {
+	t.Helper()
+	res, err := sparql.DecodeResultsJSON([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res.Vars {
+		res.Vars[i] = names[v]
+	}
+	for i, b := range res.Bindings {
+		nb := sparql.Binding{}
+		for v, tm := range b {
+			nb[names[v]] = tm
+		}
+		res.Bindings[i] = nb
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ResultsJSON(res)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestHandlerCacheRenamedAndStaleBodies: a hit under renamed variables
+// and a stale serve of a renamed query both write the filled body with
+// its columns renamed — the same rows in the same order, under the
+// caller's spelling.
+func TestHandlerCacheRenamedAndStaleBodies(t *testing.T) {
+	clk := faults.NewClock(time.Unix(0, 0))
+	reg := telemetry.NewRegistry()
+	ctrl := &admission.Controller{MaxInflight: 1, QueueTimeout: 5 * time.Second, Now: clk.Now, After: clk.After}
+	cache := rescache.New(8, 0)
+	cache.Metrics = reg
+	src := &epochGateSource{g: smallGraph(t, 3), fp: rescache.NextFingerprint("gated")}
+	srv := httptest.NewServer(NewHandlerOpts(src, reg, Options{Admission: ctrl, Cache: cache}))
+	defer srv.Close()
+
+	filled := `SELECT ?s ?o WHERE { ?s <http://ex.org/p> ?o }`
+	renamed := `SELECT ?x ?y WHERE { ?x <http://ex.org/p> ?y }`
+	_, hdr, body := get(t, srv.URL, filled)
+	if hdr.Get("X-Applab-Cache") != "miss" {
+		t.Fatalf("fill request: cache %q", hdr.Get("X-Applab-Cache"))
+	}
+	want := renamedBody(t, body, map[string]string{"s": "x", "o": "y"})
+	if want == body {
+		t.Fatal("renaming left the body unchanged")
+	}
+	_, hdr, got := get(t, srv.URL, renamed)
+	if hdr.Get("X-Applab-Cache") != "hit" || got != want {
+		t.Fatalf("renamed hit (cache %q):\n got: %s\nwant: %s", hdr.Get("X-Applab-Cache"), got, want)
+	}
+
+	// Invalidate, hold the only slot, and let the renamed query be shed
+	// onto the stale entry.
+	src.epoch.Add(1)
+	gate := make(chan struct{})
+	src.setGate(gate)
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		get(t, srv.URL, filled)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if in, _ := ctrl.Stats(); in == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("gated request never occupied the slot")
+		}
+	}
+	status, hdr, got := get(t, srv.URL, renamed)
+	close(gate)
+	<-held
+	if status != http.StatusOK || hdr.Get("X-Applab-Cache") != "stale" || got != want {
+		t.Fatalf("stale renamed serve (status %d, cache %q):\n got: %s\nwant: %s",
+			status, hdr.Get("X-Applab-Cache"), got, want)
+	}
+}
+
+// TestHandlerConstructNotCached: a CONSTRUCT answer's graph is not part
+// of the results body, so it is served but never stored.
+func TestHandlerConstructNotCached(t *testing.T) {
+	st := strabon.New()
+	st.AddAll(smallGraph(t, 2).Triples())
+	cache := rescache.New(8, 0)
+	srv := httptest.NewServer(NewHandlerOpts(st, nil, Options{Cache: cache}))
+	defer srv.Close()
+	q := `CONSTRUCT { ?s <http://ex.org/q> ?o } WHERE { ?s <http://ex.org/p> ?o }`
+	for i := 0; i < 2; i++ {
+		status, hdr, _ := get(t, srv.URL, q)
+		if status != http.StatusOK || hdr.Get("X-Applab-Cache") != "miss" {
+			t.Fatalf("request %d: status %d cache %q, want 200/miss", i, status, hdr.Get("X-Applab-Cache"))
+		}
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("CONSTRUCT answer stored: %d entries", cache.Len())
 	}
 }

@@ -105,7 +105,17 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 		requests.Inc()
 		q := r.URL.Query().Get("query")
 		if q == "" && r.Method == http.MethodPost {
-			body, _ := io.ReadAll(r.Body)
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+			if err != nil {
+				errors.Inc()
+				if _, tooBig := err.(*http.MaxBytesError); tooBig {
+					http.Error(w, fmt.Sprintf("endpoint: query body exceeds %d bytes", maxQueryBytes),
+						http.StatusRequestEntityTooLarge)
+					return
+				}
+				http.Error(w, "endpoint: reading query body: "+err.Error(), http.StatusBadRequest)
+				return
+			}
 			q = string(body)
 		}
 		if q == "" {
@@ -121,11 +131,11 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 				// evaluation slot.
 				if opts.Cache != nil {
 					if query, perr := sparql.Parse(q); perr == nil {
-						if res, ok := opts.Cache.LookupStale(query, src); ok {
+						if body, ok := opts.Cache.LookupStale(query, src); ok {
 							degraded.Inc()
 							w.Header().Set("X-Applab-Degraded", "stale")
 							w.Header().Set("X-Applab-Cache", "stale")
-							writeResults(w, res)
+							writeBody(w, body)
 							return
 						}
 					}
@@ -134,7 +144,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 					if res, derr := sparql.Eval(opts.Degraded, q); derr == nil {
 						degraded.Inc()
 						w.Header().Set("X-Applab-Degraded", "stale")
-						writeResults(w, res)
+						writeBody(w, sparql.AppendResultsJSON(nil, res))
 						return
 					}
 				}
@@ -159,17 +169,23 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			return
 		}
 
+		// respond closes the encode span, records it and the trace, and
+		// only then writes the body: a client that has read its answer
+		// already sees the stage histogram and the trace.
+		respond := func(sp *telemetry.Span, body []byte) {
+			now := reg.Time()
+			sp.End(now)
+			encodeSec.ObserveDuration(sp.Duration())
+			tr.End(reg, now)
+			writeBody(w, body)
+		}
+
 		var fill rescache.Fill
 		if opts.Cache != nil {
-			res, f, st := opts.Cache.Lookup(query, src)
+			body, f, st := opts.Cache.Lookup(query, src)
 			if st == rescache.Hit {
 				w.Header().Set("X-Applab-Cache", "hit")
-				sp = tr.StartSpan("encode", now)
-				writeResults(w, res)
-				now = reg.Time()
-				sp.End(now)
-				encodeSec.ObserveDuration(sp.Duration())
-				tr.End(reg, now)
+				respond(tr.StartSpan("encode", now), body)
 				return
 			}
 			if st != rescache.Bypass {
@@ -212,22 +228,26 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			return
 		}
 		sp.Annotate("rows", strconv.Itoa(len(res.Bindings)))
+
+		sp = tr.StartSpan("encode", now)
+		var body []byte
 		if partial {
 			partialCount.Inc()
 			w.Header().Set("X-Applab-Partial", "true")
 		} else {
-			fill.Store(res)
+			body = fill.Store(res) // nil when the cache was bypassed
 		}
-
-		sp = tr.StartSpan("encode", now)
-		writeResults(w, res)
-		now = reg.Time()
-		sp.End(now)
-		encodeSec.ObserveDuration(sp.Duration())
-		tr.End(reg, now)
+		if body == nil {
+			body = sparql.AppendResultsJSON(nil, res)
+		}
+		respond(sp, body)
 	})
 	return mux
 }
+
+// maxQueryBytes bounds a POSTed query body. A larger body is answered
+// 413 Request Entity Too Large without being read past the bound.
+const maxQueryBytes = 1 << 20
 
 // encodeJSON writes a JSON response body best-effort: a vanished
 // client is not a server error, so the Encode result is deliberately
@@ -236,10 +256,11 @@ func encodeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeResults encodes a result set as SPARQL-results-JSON.
-func writeResults(w http.ResponseWriter, res *sparql.Results) {
+// writeBody writes an encoded SPARQL-results-JSON body best-effort, as
+// encodeJSON does.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/sparql-results+json")
-	encodeJSON(w, ResultsJSON(res))
+	_, _ = w.Write(body)
 }
 
 // writeOverload renders an Acquire rejection: 503 with a Retry-After
@@ -274,7 +295,10 @@ func writeBudgetError(w http.ResponseWriter, be *admission.BudgetError) {
 }
 
 // ResultsJSON renders results in SPARQL-results-JSON form (simplified: no
-// typed boolean vs bindings distinction beyond the fields used).
+// typed boolean vs bindings distinction beyond the fields used). The
+// handler writes sparql.AppendResultsJSON, whose output is byte for
+// byte this map encoded by encoding/json; ResultsJSON stays as the
+// reference form for tests and callers that want a map.
 func ResultsJSON(res *sparql.Results) map[string]any {
 	bindings := make([]map[string]any, len(res.Bindings))
 	for i, b := range res.Bindings {
@@ -303,25 +327,6 @@ func ResultsJSON(res *sparql.Results) map[string]any {
 		"head":    map[string]any{"vars": res.Vars},
 		"results": map[string]any{"bindings": bindings},
 		"boolean": res.Bool,
-	}
-}
-
-// parseCell converts one JSON results cell back to a term.
-func parseCell(cell map[string]any) rdf.Term {
-	val, _ := cell["value"].(string)
-	switch cell["type"] {
-	case "uri":
-		return rdf.NewIRI(val)
-	case "bnode":
-		return rdf.NewBlank(val)
-	default:
-		if lang, ok := cell["xml:lang"].(string); ok && lang != "" {
-			return rdf.NewLangLiteral(val, lang)
-		}
-		if dt, ok := cell["datatype"].(string); ok && dt != "" {
-			return rdf.NewTypedLiteral(val, dt)
-		}
-		return rdf.NewLiteral(val)
 	}
 }
 
@@ -405,25 +410,25 @@ func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rd
 		body, _ := io.ReadAll(resp.Body)
 		return nil, fmt.Errorf("endpoint: query %s: %s: %s", r.URL, resp.Status, body)
 	}
-	var doc struct {
-		Results struct {
-			Bindings []map[string]map[string]any `json:"bindings"`
-		} `json:"results"`
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("endpoint: query %s: %v", r.URL, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("endpoint: query %s: bad results document: %v", r.URL, err)
+	res, err := sparql.DecodeResultsJSON(body)
+	if err != nil {
+		return nil, fmt.Errorf("endpoint: query %s: %v", r.URL, err)
 	}
-	out := make([]rdf.Triple, 0, len(doc.Results.Bindings))
-	for _, row := range doc.Results.Bindings {
+	out := make([]rdf.Triple, 0, len(res.Bindings))
+	for _, row := range res.Bindings {
 		t := rdf.Triple{S: s, P: p, O: o}
-		if cell, ok := row["s"]; ok {
-			t.S = parseCell(cell)
+		if v, ok := row["s"]; ok {
+			t.S = v
 		}
-		if cell, ok := row["p"]; ok {
-			t.P = parseCell(cell)
+		if v, ok := row["p"]; ok {
+			t.P = v
 		}
-		if cell, ok := row["o"]; ok {
-			t.O = parseCell(cell)
+		if v, ok := row["o"]; ok {
+			t.O = v
 		}
 		out = append(out, t)
 	}

@@ -665,9 +665,13 @@ func (f *Federation) QueryPartialContext(ctx context.Context, q string) (*sparql
 	}
 	var fill rescache.Fill
 	if f.Cache != nil {
-		res, fl, st := f.Cache.Lookup(query, f)
+		body, fl, st := f.Cache.Lookup(query, f)
 		if st == rescache.Hit {
-			return res, &QueryReport{Cached: true, Members: map[string]*MemberReport{}}, nil
+			// The cache holds encoded bodies. The codec decodes its own
+			// output; should that ever fail, evaluate and refill.
+			if res, derr := sparql.DecodeResultsJSON(body); derr == nil {
+				return res, &QueryReport{Cached: true, Members: map[string]*MemberReport{}}, nil
+			}
 		}
 		if st != rescache.Bypass {
 			fill = fl

@@ -1,11 +1,12 @@
 package rescache
 
-// Byte-budget eviction tests: entry cost is the encoded answer size,
+// Byte-budget eviction tests: entry cost is the encoded body length,
 // the summed cost never exceeds the budget after a fill, eviction is
 // LRU-ordered, shrinking the budget evicts immediately, and an answer
 // larger than the whole budget is refused residency rather than pinned.
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -30,15 +31,32 @@ func fillDistinct(t *testing.T, c *Cache, src *memSource, nq, payload int) []str
 	return queries
 }
 
-func TestEncodedSize(t *testing.T) {
-	if EncodedSize(nil) != 0 {
-		t.Fatal("nil result has nonzero size")
+// TestEntryCostIsBodyLength: an entry costs exactly the length of the
+// response body it stores — the bytes Store returns, Lookup serves and
+// the endpoint writes — so -cache-bytes bounds what is resident.
+func TestEntryCostIsBodyLength(t *testing.T) {
+	src := newMemSource()
+	src.Add(triple("http://ex/a", "http://ex/p", strings.Repeat("x", 1000)))
+	c := New(16, 0)
+	q := parseQ(t, qBase)
+	_, fill, _ := c.Lookup(q, src)
+	res, err := q.Eval(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	small := &sparql.Results{Vars: []string{"o"}}
-	big := &sparql.Results{Vars: []string{"o"}}
-	big.Bindings = []sparql.Binding{{"o": triple("a", "b", strings.Repeat("x", 1000)).O}}
-	if EncodedSize(big) <= EncodedSize(small)+1000 {
-		t.Fatalf("cost not payload-proportional: big=%d small=%d", EncodedSize(big), EncodedSize(small))
+	stored := fill.Store(res)
+	if want := sparql.AppendResultsJSON(nil, res); !bytes.Equal(stored, want) {
+		t.Fatalf("Store returned a body other than the encoding:\n%s\nvs\n%s", stored, want)
+	}
+	if c.Bytes() != int64(len(stored)) {
+		t.Fatalf("cost %d, want the body length %d", c.Bytes(), len(stored))
+	}
+	served, _, st := c.Lookup(q, src)
+	if st != Hit || !bytes.Equal(served, stored) {
+		t.Fatalf("hit served %v %q, want the stored body", st, served)
+	}
+	if len(stored) <= 1000 {
+		t.Fatalf("cost not payload-proportional: %d bytes for a 1000-byte literal", len(stored))
 	}
 }
 

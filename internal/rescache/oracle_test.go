@@ -13,7 +13,9 @@ package rescache_test
 // real sleeps, deterministic under -race.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -22,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"applab/internal/endpoint"
 	"applab/internal/faults"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
@@ -63,6 +66,17 @@ func canon(res *sparql.Results) string {
 	}
 	sort.Strings(rows)
 	return fmt.Sprintf("bool=%v vars=%v\n%s", res.Bool, res.Vars, strings.Join(rows, "\n"))
+}
+
+// referenceBody is the endpoint's historic encoding of res: its map
+// form through encoding/json.
+func referenceBody(t *testing.T, res *sparql.Results) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(endpoint.ResultsJSON(res)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // oracleSource is a miniature adaptive source: it serves from the live
@@ -182,14 +196,25 @@ func queryBatch(t *testing.T, rng *rand.Rand, cache *rescache.Cache, src *oracle
 					t.Errorf("parse %q: %v", qstr, err)
 					return
 				}
-				res, fill, st := cache.Lookup(query, src)
-				if st != rescache.Hit {
+				var res *sparql.Results
+				body, fill, st := cache.Lookup(query, src)
+				if st == rescache.Hit {
+					if res, err = sparql.DecodeResultsJSON(body); err != nil {
+						t.Errorf("cached body for %q: %v", qstr, err)
+						continue
+					}
+				} else {
 					res, err = query.EvalContext(context.Background(), src)
 					if err != nil {
 						t.Errorf("eval %q: %v", qstr, err)
 						continue
 					}
-					fill.Store(res)
+					body = fill.Store(res)
+				}
+				// The body the cache serves or stores is byte for byte
+				// the endpoint's reference encoding of the answer.
+				if want := referenceBody(t, res); !bytes.Equal(body, want) {
+					t.Errorf("%v body for %q differs from encoding/json:\n got: %s\nwant: %s", st, qstr, body, want)
 				}
 				want, err := sparql.EvalSeed(src, qstr)
 				if err != nil {

@@ -16,8 +16,13 @@
 //     that with EvalEpocher; for those the epoch is captured at Fill
 //     time instead. That is sound because such evaluations are
 //     serialized by the source and are a pure function of its state.
-//   - Cached *sparql.Results are shared read-only. Callers must not
-//     mutate a returned result set.
+//   - An entry holds only the encoded SPARQL-results-JSON body
+//     (sparql.AppendResultsJSON), which is what the endpoint writes:
+//     a hit with the filler's variable spelling is a slice hand-off.
+//     Returned bodies are shared read-only; callers must not mutate
+//     them. Only the rare paths decode: a hit under renamed variables
+//     and a stale serve re-encode under the caller's spelling, and the
+//     federation decodes hits back into a result set.
 package rescache
 
 import (
@@ -91,14 +96,15 @@ func NextFingerprint(prefix string) string {
 }
 
 type entry struct {
-	res      *sparql.Results
+	body     []byte            // encoded answer; its length is the entry's cost
 	varMap   map[string]string // original var -> canonical slot, from fill-time query
 	epoch    uint64
 	hasEpoch bool
 	filledAt time.Time
-	cost     int64
 	elem     *list.Element
 }
+
+func (e *entry) cost() int64 { return int64(len(e.body)) }
 
 // Fill stores an evaluation result for the key that missed. A zero Fill
 // (from a Bypass) is a no-op.
@@ -150,8 +156,9 @@ func New(capacity int, ttl time.Duration) *Cache {
 
 const epochlessTTL = time.Minute
 
-// SetMaxBytes bounds the cache by total entry cost (the encoded answer
-// size, see EncodedSize) in addition to the entry-count capacity.
+// SetMaxBytes bounds the cache by total entry cost — the exact length
+// of each entry's encoded response body — in addition to the
+// entry-count capacity.
 // n <= 0 removes the byte bound. Shrinking below the current residency
 // evicts from the LRU tail immediately.
 func (c *Cache) SetMaxBytes(n int64) {
@@ -199,36 +206,10 @@ func (c *Cache) evictLocked() {
 		}
 		k := back.Value.(string)
 		c.lru.Remove(back)
-		c.bytes -= c.entries[k].cost
+		c.bytes -= c.entries[k].cost()
 		delete(c.entries, k)
 		c.noteEviction()
 	}
-}
-
-// EncodedSize is the byte-budget cost of a result set: the size of its
-// answer encoded in the compact form `var=value` per cell plus row
-// framing — a stable, allocation-free stand-in for the serialized
-// response size.
-func EncodedSize(res *sparql.Results) int64 {
-	if res == nil {
-		return 0
-	}
-	const cellOverhead, rowOverhead = 4, 8
-	n := int64(rowOverhead) // Bool / head framing
-	for _, v := range res.Vars {
-		n += int64(len(v)) + cellOverhead
-	}
-	for _, b := range res.Bindings {
-		n += rowOverhead
-		for v, t := range b {
-			n += int64(len(v)+len(t.Value)+len(t.Datatype)+len(t.Lang)) + cellOverhead
-		}
-	}
-	for _, t := range res.Graph {
-		n += rowOverhead
-		n += int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + len(t.O.Datatype) + len(t.O.Lang))
-	}
-	return n
 }
 
 // key derives the cache key for a query against a source, or "" when
@@ -243,10 +224,10 @@ func (c *Cache) key(q *sparql.Query, src sparql.Source) (string, map[string]stri
 }
 
 // Lookup checks for a cached answer to q over src. On Hit the returned
-// results are ready to serve (column names remapped to q's variable
-// spelling). On Miss/Stale/Bypass the caller evaluates and, for
+// body is the encoded answer under q's variable spelling, ready to
+// write. On Miss/Stale/Bypass the caller evaluates and, for
 // Miss/Stale, calls Fill.Store with the fresh result.
-func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fill, Status) {
+func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) ([]byte, Fill, Status) {
 	if c == nil {
 		return nil, Fill{}, Bypass
 	}
@@ -279,10 +260,10 @@ func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fil
 		return nil, fill, Stale
 	}
 	c.lru.MoveToFront(e.elem)
-	res, evm := e.res, e.varMap
+	body, evm := e.body, e.varMap
 	c.mu.Unlock()
 
-	out := remap(res, evm, vm, q)
+	out := remap(body, evm, vm)
 	if out == nil {
 		// Slot structure mismatch should be impossible for equal keys;
 		// degrade to a miss rather than serve a wrong shape.
@@ -293,10 +274,10 @@ func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fil
 	return out, fill, Hit
 }
 
-// LookupStale returns a cached entry even if its epoch is behind or its
+// LookupStale returns a cached body even if its epoch is behind or its
 // TTL has lapsed — the degraded-serving path. It never returns entries
 // from a different source instance (fingerprints see to that).
-func (c *Cache) LookupStale(q *sparql.Query, src sparql.Source) (*sparql.Results, bool) {
+func (c *Cache) LookupStale(q *sparql.Query, src sparql.Source) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -311,9 +292,9 @@ func (c *Cache) LookupStale(q *sparql.Query, src sparql.Source) (*sparql.Results
 		return nil, false
 	}
 	c.lru.MoveToFront(e.elem)
-	res, evm := e.res, e.varMap
+	body, evm := e.body, e.varMap
 	c.mu.Unlock()
-	out := remap(res, evm, vm, q)
+	out := remap(body, evm, vm)
 	if out == nil {
 		return nil, false
 	}
@@ -340,14 +321,23 @@ func (c *Cache) validLocked(e *entry, src sparql.Source) bool {
 	return c.Now().Sub(e.filledAt) < ttl
 }
 
-// Store records res for the looked-up key. Concurrent fills of the same
-// key are last-write-wins; both results are correct answers for their
-// respective epochs, and validation re-checks on every hit.
-func (f Fill) Store(res *sparql.Results) {
+// Store encodes res once, records the body for the looked-up key and
+// returns it, so the caller writes exactly the bytes it cached. A zero
+// Fill (from a Bypass) stores nothing and returns nil. A CONSTRUCT
+// result is encoded but not stored: its Graph is not part of the body.
+// Concurrent fills of the same key are last-write-wins; both results
+// are correct answers for their respective epochs, and validation
+// re-checks on every hit.
+func (f Fill) Store(res *sparql.Results) []byte {
 	if f.c == nil || res == nil {
-		return
+		return nil
 	}
-	e := &entry{res: res, varMap: f.vm, epoch: f.epoch, hasEpoch: f.has, filledAt: f.c.Now(), cost: EncodedSize(res)}
+	body := sparql.AppendResultsJSON(nil, res)
+	body = body[:len(body):len(body)] // shared: an append must copy
+	if res.Graph != nil {
+		return body
+	}
+	e := &entry{body: body, varMap: f.vm, epoch: f.epoch, hasEpoch: f.has, filledAt: f.c.Now()}
 	if f.eval {
 		if ep, ok := f.src.(Epocher); ok {
 			e.epoch = ep.DataEpoch()
@@ -358,11 +348,11 @@ func (f Fill) Store(res *sparql.Results) {
 	c.mu.Lock()
 	if old, ok := c.entries[f.key]; ok {
 		c.lru.Remove(old.elem)
-		c.bytes -= old.cost
+		c.bytes -= old.cost()
 	}
 	e.elem = c.lru.PushFront(f.key)
 	c.entries[f.key] = e
-	c.bytes += e.cost
+	c.bytes += e.cost()
 	c.evictLocked()
 	n := len(c.entries)
 	bytes := c.bytes
@@ -370,6 +360,7 @@ func (f Fill) Store(res *sparql.Results) {
 	c.noteFill()
 	c.setEntries(n)
 	c.setBytes(bytes)
+	return body
 }
 
 // Len reports the number of resident entries.
@@ -396,19 +387,13 @@ func (c *Cache) Purge() {
 	c.setBytes(0)
 }
 
-// remap rebuilds a cached result under the variable spelling of the
+// remap serves a cached body under the variable spelling of the
 // querying (lookup-side) query. entryVM maps fill-time names to slots;
-// lookupVM maps lookup-time names to the same slots. Returns nil if the
-// slot sets don't line up (defensive; equal keys imply equal slots).
-func remap(res *sparql.Results, entryVM, lookupVM map[string]string, q *sparql.Query) *sparql.Results {
-	if res == nil {
-		return nil
-	}
-	// ASK / CONSTRUCT results carry no variable columns.
-	if res.Graph != nil || len(res.Vars) == 0 && len(res.Bindings) == 0 {
-		return res
-	}
-	// Fast path: identical spelling end to end → share the entry.
+// lookupVM maps lookup-time names to the same slots. With identical
+// spelling the body is shared as is; otherwise it is decoded, its
+// columns renamed, and re-encoded. Returns nil if the slot sets don't
+// line up (defensive; equal keys imply equal slots).
+func remap(body []byte, entryVM, lookupVM map[string]string) []byte {
 	same := len(entryVM) == len(lookupVM)
 	if same {
 		for name, slot := range entryVM {
@@ -419,7 +404,15 @@ func remap(res *sparql.Results, entryVM, lookupVM map[string]string, q *sparql.Q
 		}
 	}
 	if same {
-		return res
+		return body
+	}
+	res, err := sparql.DecodeResultsJSON(body)
+	if err != nil {
+		return nil
+	}
+	// ASK results carry no variable columns.
+	if len(res.Vars) == 0 && len(res.Bindings) == 0 {
+		return body
 	}
 	// slot -> lookup-side name
 	fromSlot := make(map[string]string, len(lookupVM))
@@ -434,16 +427,13 @@ func remap(res *sparql.Results, entryVM, lookupVM map[string]string, q *sparql.Q
 		}
 		trans[name] = ln
 	}
-	out := &sparql.Results{Bool: res.Bool, Graph: res.Graph}
-	out.Vars = make([]string, len(res.Vars))
 	for i, v := range res.Vars {
 		ln, ok := trans[v]
 		if !ok {
 			return nil
 		}
-		out.Vars[i] = ln
+		res.Vars[i] = ln
 	}
-	out.Bindings = make([]sparql.Binding, len(res.Bindings))
 	for i, b := range res.Bindings {
 		nb := make(sparql.Binding, len(b))
 		for v, t := range b {
@@ -453,7 +443,7 @@ func remap(res *sparql.Results, entryVM, lookupVM map[string]string, q *sparql.Q
 			}
 			nb[ln] = t
 		}
-		out.Bindings[i] = nb
+		res.Bindings[i] = nb
 	}
-	return out
+	return sparql.AppendResultsJSON(make([]byte, 0, len(body)), res)
 }

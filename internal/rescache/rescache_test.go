@@ -66,12 +66,22 @@ func parseQ(t *testing.T, s string) *sparql.Query {
 	return q
 }
 
+// decode parses a cached body back into a result set.
+func decode(t *testing.T, body []byte) *sparql.Results {
+	t.Helper()
+	res, err := sparql.DecodeResultsJSON(body)
+	if err != nil {
+		t.Fatalf("cached body does not decode: %v\n%s", err, body)
+	}
+	return res
+}
+
 // evalThrough runs the cache protocol like a real caller would.
 func evalThrough(t *testing.T, c *Cache, src *memSource, query string) (*sparql.Results, Status) {
 	t.Helper()
 	q := parseQ(t, query)
-	if res, _, st := c.Lookup(q, src); st == Hit {
-		return res, st
+	if body, _, st := c.Lookup(q, src); st == Hit {
+		return decode(t, body), st
 	} else if st == Bypass {
 		t.Fatalf("unexpected bypass")
 	}
@@ -100,11 +110,11 @@ func TestCacheMissHitInvalidate(t *testing.T) {
 	}
 	fill.Store(res)
 
-	got, _, st := c.Lookup(q, src)
+	body, _, st := c.Lookup(q, src)
 	if st != Hit {
 		t.Fatalf("second lookup: got %v, want Hit", st)
 	}
-	if len(got.Bindings) != 1 {
+	if got := decode(t, body); len(got.Bindings) != 1 {
 		t.Fatalf("wrong cached rows: %+v", got.Bindings)
 	}
 
@@ -117,9 +127,9 @@ func TestCacheMissHitInvalidate(t *testing.T) {
 	_, fill, _ = c.Lookup(q, src)
 	res, _ = q.Eval(src)
 	fill.Store(res)
-	got, _, st = c.Lookup(q, src)
-	if st != Hit || len(got.Bindings) != 2 {
-		t.Fatalf("refill: st=%v rows=%d", st, len(got.Bindings))
+	body, _, st = c.Lookup(q, src)
+	if st != Hit || len(decode(t, body).Bindings) != 2 {
+		t.Fatalf("refill: st=%v body=%s", st, body)
 	}
 }
 
@@ -133,10 +143,11 @@ func TestCacheRenamedQueryHits(t *testing.T) {
 	}
 	// Same shape, different variable names: must hit, with remapped columns.
 	q2 := parseQ(t, `SELECT ?subj ?val WHERE { ?subj <http://ex/p> ?val }`)
-	got, _, st := c.Lookup(q2, src)
+	body, _, st := c.Lookup(q2, src)
 	if st != Hit {
 		t.Fatalf("renamed lookup: got %v, want Hit", st)
 	}
+	got := decode(t, body)
 	if len(got.Vars) != 2 || got.Vars[0] != "subj" || got.Vars[1] != "val" {
 		t.Fatalf("columns not remapped: %v", got.Vars)
 	}
@@ -280,15 +291,15 @@ func TestCacheLookupStale(t *testing.T) {
 	if _, _, st := c.Lookup(q, src); st != Stale {
 		t.Fatalf("setup: want stale")
 	}
-	got, ok := c.LookupStale(q, src)
-	if !ok || len(got.Bindings) != 1 {
+	body, ok := c.LookupStale(q, src)
+	if !ok || len(decode(t, body).Bindings) != 1 {
 		t.Fatalf("stale serve failed: ok=%v", ok)
 	}
 	// Renamed query also stale-serves with remapping.
 	q2 := parseQ(t, `SELECT ?x ?y WHERE { ?x <http://ex/p> ?y }`)
-	got, ok = c.LookupStale(q2, src)
-	if !ok || got.Vars[0] != "x" {
-		t.Fatalf("stale remap failed: ok=%v vars=%v", ok, got.Vars)
+	body, ok = c.LookupStale(q2, src)
+	if !ok || decode(t, body).Vars[0] != "x" {
+		t.Fatalf("stale remap failed: ok=%v body=%s", ok, body)
 	}
 	// Unknown query: no stale entry.
 	if _, ok := c.LookupStale(parseQ(t, `ASK { ?s <http://ex/p> ?o }`), src); ok {
@@ -392,10 +403,10 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				q := parseQ(t, qBase)
-				res, fill, st := c.Lookup(q, src)
+				body, fill, st := c.Lookup(q, src)
 				switch st {
 				case Hit:
-					if len(res.Bindings) == 0 {
+					if res, err := sparql.DecodeResultsJSON(body); err != nil || len(res.Bindings) == 0 {
 						t.Error("empty hit")
 						return
 					}
@@ -681,5 +692,31 @@ func TestPromoterMetrics(t *testing.T) {
 	p2.Quiesce()
 	if v := reg.Counter("promotion_failed_total").Value(); v != 1 {
 		t.Fatalf("failed counter: %v", v)
+	}
+}
+
+// TestCacheSkipsConstruct: a CONSTRUCT result's graph is not part of
+// the encoded body, so Store returns the body but keeps no entry.
+func TestCacheSkipsConstruct(t *testing.T) {
+	src := newMemSource()
+	src.Add(triple("http://ex/a", "http://ex/p", "1"))
+	c := New(16, 0)
+	q := parseQ(t, `CONSTRUCT { ?s <http://ex/q> ?o } WHERE { ?s <http://ex/p> ?o }`)
+	_, fill, st := c.Lookup(q, src)
+	if st != Miss {
+		t.Fatalf("first lookup: %v", st)
+	}
+	res, err := q.Eval(src)
+	if err != nil || len(res.Graph) != 1 {
+		t.Fatalf("construct eval: %v, %d triples", err, len(res.Graph))
+	}
+	if body := fill.Store(res); len(body) == 0 {
+		t.Fatal("Store returned no body for a CONSTRUCT result")
+	}
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Fatalf("CONSTRUCT result stored: %d entries, %d bytes", c.Len(), c.Bytes())
+	}
+	if _, _, st := c.Lookup(q, src); st != Miss {
+		t.Fatalf("lookup after a CONSTRUCT fill: %v, want Miss", st)
 	}
 }

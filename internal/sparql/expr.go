@@ -382,7 +382,7 @@ var builtins = map[string]termFunc{
 		if len(args) == 3 && strings.Contains(args[2].Value, "i") {
 			pat = "(?i)" + pat
 		}
-		re, err := compileRegex(pat)
+		re, err := regexes.compile(pat)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -473,19 +473,65 @@ var builtins = map[string]termFunc{
 	},
 }
 
-var regexCache sync.Map // string -> *regexp.Regexp
+// regexCacheCap bounds the compiled REGEX patterns kept across queries.
+// Patterns come from users, so the cache may not grow with them.
+const regexCacheCap = 1024
 
-func compileRegex(pat string) (*regexp.Regexp, error) {
-	if re, ok := regexCache.Load(pat); ok {
-		return re.(*regexp.Regexp), nil
+// regexCache is a two-generation cache of compiled patterns: entries
+// land in the current generation, and when it fills it becomes the
+// previous one and the oldest is dropped wholesale. Hits in the
+// previous generation are promoted, so hot patterns survive rotation
+// while abandoned ones age out. Live entries never exceed the cap.
+type regexCache struct {
+	mu   sync.RWMutex
+	cap  int
+	cur  map[string]*regexp.Regexp
+	prev map[string]*regexp.Regexp
+}
+
+func newRegexCache(capacity int) *regexCache {
+	return &regexCache{cap: capacity, cur: map[string]*regexp.Regexp{}}
+}
+
+func (c *regexCache) get(pat string) (*regexp.Regexp, bool) {
+	c.mu.RLock()
+	if re, ok := c.cur[pat]; ok {
+		c.mu.RUnlock()
+		return re, true
+	}
+	re, ok := c.prev[pat]
+	c.mu.RUnlock()
+	if ok {
+		c.add(pat, re)
+	}
+	return re, ok
+}
+
+func (c *regexCache) add(pat string, re *regexp.Regexp) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cur[pat] = re
+	// Each generation holds at most cap/2 entries, so cur+prev <= cap.
+	if len(c.cur) >= (c.cap+1)/2 {
+		c.prev, c.cur = c.cur, map[string]*regexp.Regexp{}
+	}
+}
+
+// compile returns the compiled pattern, compiling and caching it on a
+// miss.
+func (c *regexCache) compile(pat string) (*regexp.Regexp, error) {
+	if re, ok := c.get(pat); ok {
+		return re, nil
 	}
 	re, err := regexp.Compile(pat)
 	if err != nil {
 		return nil, err
 	}
-	regexCache.Store(pat, re)
+	c.add(pat, re)
 	return re, nil
 }
+
+var regexes = newRegexCache(regexCacheCap)
 
 // ---- extension function registry ----
 

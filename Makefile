@@ -76,8 +76,9 @@ bench-segment:
 
 # Spatial join vs per-row filtering on Geographica join queries,
 # recorded in BENCH_PR8.json; fails if a join query misses the 3x
-# speedup floor, a strategy diverges on row count, or Engine_BGPJoin
-# pays more than 5% for the plan detection.
+# speedup floor, a strategy (inl, store) diverges on row count or is
+# never exercised, or Engine_BGPJoin pays more than 5% for the plan
+# detection.
 bench-spatial:
 	$(GO) run ./cmd/applab-bench -spatial-json BENCH_PR8.json
 

@@ -47,6 +47,10 @@ go test -race ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ \
 echo "== e2e golden suite (both workflows over live loopback servers)"
 make e2e
 
+echo "== repeat runs (process-global caches and metrics must not leak between runs)"
+go test -count=3 -run 'TestGoldenSpatialJoin|TestGoldenResultCache' ./internal/e2e/
+go test -count=3 ./internal/interlink/ ./internal/geographica/
+
 echo "== coverage gate (resilience stack)"
 # The retry/breaker/deadline machinery is all error paths; a coverage
 # floor keeps new branches from landing untested. Floors sit ~5pt under
@@ -107,7 +111,7 @@ go run ./cmd/applab-bench -segment-json BENCH_PR7.json
 echo "== spatial join gate (envelope index vs per-row filtering)"
 # The planner-selected spatial join must beat the per-row filter path by
 # at least 3x on the Geographica join queries, every strategy (inl,
-# cells, store) must return the filter path's exact row count, and plans
+# store) must return the filter path's exact row count, and plans
 # with no spatial filter may not pay more than 5% for the detection.
 go run ./cmd/applab-bench -spatial-json BENCH_PR8.json
 

@@ -22,9 +22,10 @@ import (
 //     within maxSpatialRegressionPct of its off-mode ns/op, so the
 //     detection pass is free for everyone else.
 //
-// Each forced strategy (inl, cells, store) additionally runs once and
-// must return exactly as many rows as the filter path: the speedup is
-// only worth recording if every candidate generator agrees.
+// Each join mode (inl forced, auto) additionally runs once and must
+// return exactly as many rows as the filter path, and between them the
+// runs must exercise both candidate generators (inl, store): the
+// speedup is only worth recording if every generator agrees.
 
 // minSpatialSpeedup is the off/auto ns/op ratio the spatial join must
 // reach on the Geographica join queries.
@@ -92,11 +93,15 @@ func spatialBenchQueries() []struct{ name, query string } {
 	}
 }
 
+// spatialStrategies are the candidate generators the spatial join
+// reports in spatial_join_total{strategy}.
+var spatialStrategies = []string{sparql.SpatialJoinINL, "store"}
+
 // strategyCounters extracts the spatial_join_total{strategy=...} deltas
 // from a registry snapshot.
 func strategyCounters(reg *telemetry.Registry) map[string]int64 {
 	out := map[string]int64{}
-	for _, s := range []string{sparql.SpatialJoinINL, sparql.SpatialJoinCells, sparql.SpatialJoinStore} {
+	for _, s := range spatialStrategies {
 		key := fmt.Sprintf(`spatial_join_total{strategy=%q}`, s)
 		if v, ok := reg.Snapshot().Counters[key]; ok && v > 0 {
 			out[s] = v
@@ -107,12 +112,11 @@ func strategyCounters(reg *telemetry.Registry) map[string]int64 {
 
 // runSpatialBenchJSON measures the join queries in every mode, writes
 // the report to path, and fails when a join query misses the speedup
-// floor, a forced strategy diverges on row count, or Engine_BGPJoin
+// floor, a join mode diverges on row count, or Engine_BGPJoin
 // regresses past the budget.
 func runSpatialBenchJSON(path string) error {
 	defer func() {
 		sparql.SetSpatialJoin("")
-		sparql.SetSpatialCells(0)
 		sparql.SetMetrics(nil)
 	}()
 
@@ -168,9 +172,9 @@ func runSpatialBenchJSON(path string) error {
 			StrategyNsPerOp: map[string]float64{},
 		}
 
-		// Every forced strategy must agree with the filter path on the
-		// row count; the registry pins which strategy actually ran.
-		for _, mode := range []string{sparql.SpatialJoinINL, sparql.SpatialJoinCells, sparql.SpatialJoinStore} {
+		// Every join mode must agree with the filter path on the row
+		// count; the registry pins which strategy actually ran.
+		for _, mode := range []string{sparql.SpatialJoinINL, sparql.SpatialJoinAuto} {
 			if err := sparql.SetSpatialJoin(mode); err != nil {
 				return err
 			}
@@ -248,7 +252,7 @@ func runSpatialBenchJSON(path string) error {
 				rec.Name, rec.Speedup, rec.MinSpeedup)
 		}
 	}
-	for _, s := range []string{sparql.SpatialJoinINL, sparql.SpatialJoinCells, sparql.SpatialJoinStore} {
+	for _, s := range spatialStrategies {
 		if report.Strategies[s] == 0 {
 			return fmt.Errorf("strategy %q was never exercised", s)
 		}

@@ -58,8 +58,6 @@ func main() {
 
 		queryWorkers      = flag.Int("query-workers", 0, "SPARQL evaluator worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS; parallel execution stays off for remote-backed sources)")
 		parallelThreshold = flag.Int("parallel-threshold", 0, "minimum intermediate solutions before the evaluator parallelizes a stage (0 = default)")
-		spatialJoin       = flag.String("spatial-join", "auto", "spatial-join strategy: auto, off, inl, cells, store")
-		spatialCells      = flag.Int("spatial-cells", 0, "Hilbert grid order for the cells strategy (2^order cells per side; 0 = default)")
 
 		queryDeadline   = flag.Duration("query-deadline", 0, "wall-clock budget for the query, including mapping execution (0 disables)")
 		maxRows         = flag.Int("max-rows", 0, "cap on final result rows (0 disables)")
@@ -70,10 +68,6 @@ func main() {
 	flag.Parse()
 	sparql.SetQueryWorkers(*queryWorkers)
 	sparql.SetParallelThreshold(*parallelThreshold)
-	if err := sparql.SetSpatialJoin(*spatialJoin); err != nil {
-		log.Fatal(err)
-	}
-	sparql.SetSpatialCells(*spatialCells)
 	if *mappingPath == "" || (*query == "" && *serve == "") {
 		flag.Usage()
 		os.Exit(2)

@@ -83,8 +83,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 
 		queryWorkers      = fs.Int("query-workers", 0, "SPARQL evaluator worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS)")
 		parallelThreshold = fs.Int("parallel-threshold", 0, "minimum intermediate solutions before the evaluator parallelizes a stage (0 = default)")
-		spatialJoin       = fs.String("spatial-join", "auto", "spatial-join strategy: auto, off, inl, cells, store")
-		spatialCells      = fs.Int("spatial-cells", 0, "Hilbert grid order for the cells strategy (2^order cells per side; 0 = default)")
 
 		resultCache = fs.Int("result-cache", 0, "plan-keyed result cache capacity in entries (0 disables); served responses carry X-Applab-Cache")
 		cacheTTL    = fs.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = epoch-validated only; set this when federating with remote endpoints, whose ingests are invisible to epoch validation)")
@@ -113,10 +111,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 	}
 	sparql.SetQueryWorkers(*queryWorkers)
 	sparql.SetParallelThreshold(*parallelThreshold)
-	if err := sparql.SetSpatialJoin(*spatialJoin); err != nil {
-		return err
-	}
-	sparql.SetSpatialCells(*spatialCells)
 
 	if *clusterNode != "" {
 		return runClusterNode(ctx, *clusterNode, ready)

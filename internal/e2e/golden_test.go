@@ -416,25 +416,17 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	s1 := reg.Snapshot()
 	wantCounters(t, "spatial off", s0, s1, map[string]int64{
 		`spatial_join_total{strategy="inl"}`:   0,
-		`spatial_join_total{strategy="cells"}`: 0,
 		`spatial_join_total{strategy="store"}`: 0,
 		"spatial_index_probes_total":           0,
 	})
 
-	// One run per strategy: forced R-tree, forced cells, and auto routing
-	// the store-shape query to the store index. Each drives exactly the 4
+	// One run per strategy: forced R-tree, and auto routing the
+	// store-shape query to the store index. Each drives exactly the 4
 	// place geometries through a candidate index.
 	if err := sparql.SetSpatialJoin(sparql.SpatialJoinINL); err != nil {
 		t.Fatal(err)
 	}
 	inlRes, err := store.Query(genericQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparql.SetSpatialJoin(sparql.SpatialJoinCells); err != nil {
-		t.Fatal(err)
-	}
-	cellsRes, err := store.Query(genericQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,9 +440,8 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	s2 := reg.Snapshot()
 	wantCounters(t, "spatial joins", s1, s2, map[string]int64{
 		`spatial_join_total{strategy="inl"}`:   1,
-		`spatial_join_total{strategy="cells"}`: 1,
 		`spatial_join_total{strategy="store"}`: 1,
-		"spatial_index_probes_total":           12,
+		"spatial_index_probes_total":           8,
 	})
 	if got := s2.Gauges["spatial_arena_bytes"]; got <= 0 {
 		t.Errorf("spatial_arena_bytes = %g, want > 0", got)
@@ -459,15 +450,12 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	if !equalRows(pairs(t, baseGeneric, "a", "b"), pairs(t, inlRes, "a", "b")) {
 		t.Error("inl strategy diverged from the filter path")
 	}
-	if !equalRows(pairs(t, baseGeneric, "a", "b"), pairs(t, cellsRes, "a", "b")) {
-		t.Error("cells strategy diverged from the filter path")
-	}
 	if !equalRows(pairs(t, baseStore, "a", "gb"), pairs(t, storeRes, "a", "gb")) {
 		t.Error("store pushdown diverged from the filter path")
 	}
 	for name, res := range map[string]*sparql.Results{
 		"filter generic": baseGeneric, "filter store": baseStore,
-		"inl": inlRes, "cells": cellsRes, "store": storeRes,
+		"inl": inlRes, "store": storeRes,
 	} {
 		wantEncoding(t, name, res)
 	}

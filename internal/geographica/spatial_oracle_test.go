@@ -14,7 +14,8 @@ import (
 )
 
 // The spatial-join operator must be answer-invisible: for every
-// strategy (off/inl/cells/store/auto), any worker count, and both the
+// mode (off/inl/auto, where auto routes the bare geo:asWKT shape to the
+// store's R-tree), any worker count, and both the
 // in-memory and the segment-backed disk store, a Geographica join query
 // returns exactly the rows the seed evaluator produces. This is the
 // differential oracle the perf work is gated on.
@@ -86,7 +87,6 @@ func restoreEngineKnobs(t *testing.T) {
 		if err := sparql.SetSpatialJoin(""); err != nil {
 			t.Fatal(err)
 		}
-		sparql.SetSpatialCells(0)
 	})
 }
 
@@ -130,10 +130,7 @@ func TestSpatialJoinOracle(t *testing.T) {
 	defer cold.Close()
 
 	sparql.SetParallelThreshold(1)
-	modes := []string{
-		sparql.SpatialJoinOff, sparql.SpatialJoinINL, sparql.SpatialJoinCells,
-		sparql.SpatialJoinStore, sparql.SpatialJoinAuto,
-	}
+	modes := []string{sparql.SpatialJoinOff, sparql.SpatialJoinINL, sparql.SpatialJoinAuto}
 	for qi, qs := range oracleQueries() {
 		parsed, err := sparql.Parse(qs)
 		if err != nil {

@@ -217,3 +217,48 @@ func TestContainsSelf(t *testing.T) {
 		t.Error("boundary line must not be contained")
 	}
 }
+
+// TestAreaAndCentroidByKind pins Area and Centroid for every geometry
+// kind, parsed from WKT.
+func TestAreaAndCentroidByKind(t *testing.T) {
+	cases := []struct {
+		wkt    string
+		kind   string
+		area   float64
+		cx, cy float64
+	}{
+		{"POINT (3 4)", "Point", 0, 3, 4},
+		{"MULTIPOINT ((0 0), (4 2))", "MultiPoint", 0, 2, 1},
+		{"LINESTRING (0 0, 2 0, 4 0)", "LineString", 0, 2, 0},
+		{"MULTILINESTRING ((0 0, 2 2), (4 0, 6 2))", "MultiLineString", 0, 3, 1},
+		{"POLYGON ((0 0, 4 0, 4 2, 0 2, 0 0))", "Polygon", 8, 2, 1},
+		// Two unit-area squares weigh equally: the centroid is midway.
+		{"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((4 0, 5 0, 5 1, 4 1, 4 0)))", "MultiPolygon", 2, 2.5, 0.5},
+		// Collection: area sums, centroid is the mean of member centroids.
+		{"GEOMETRYCOLLECTION (POINT (0 0), POLYGON ((2 0, 4 0, 4 2, 2 2, 2 0)))", "GeometryCollection", 4, 1.5, 0.5},
+	}
+	for _, tc := range cases {
+		g := MustParseWKT(tc.wkt)
+		if got := g.Kind().String(); got != tc.kind {
+			t.Errorf("%s: kind %q, want %q", tc.wkt, got, tc.kind)
+		}
+		if a := Area(g); math.Abs(a-tc.area) > 1e-9 {
+			t.Errorf("%s: area %v, want %v", tc.wkt, a, tc.area)
+		}
+		if c := Centroid(g); math.Abs(c.X-tc.cx) > 1e-9 || math.Abs(c.Y-tc.cy) > 1e-9 {
+			t.Errorf("%s: centroid %v, want (%v %v)", tc.wkt, c, tc.cx, tc.cy)
+		}
+	}
+	// A degenerate (zero-area) polygon falls back to its vertex mean,
+	// and a zero-area multipolygon to the origin.
+	flat := &Polygon{Rings: [][]Point{{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 0}}}}
+	if c := Centroid(flat); math.Abs(c.X-1.5) > 1e-9 || c.Y != 0 {
+		t.Errorf("flat polygon centroid %v", c)
+	}
+	if c := Centroid(&MultiPolygon{Polygons: []*Polygon{flat}}); c != (Point{}) {
+		t.Errorf("zero-area multipolygon centroid %v", c)
+	}
+	if c := Centroid(&MultiPoint{}); c != (Point{}) {
+		t.Errorf("empty multipoint centroid %v", c)
+	}
+}

@@ -1,8 +1,10 @@
 // Package rtree provides an R-tree spatial index over geometry envelopes.
 // It supports incremental insertion (quadratic split) and bulk loading
 // (sort-tile-recursive packing), and answers envelope-intersection and
-// nearest-neighbour queries. The Strabon store and the OPeNDAP viewport
-// cache both build on it.
+// nearest-neighbour queries. It is the repo's one spatial blocking
+// structure: the Strabon store's geo:asWKT index, the SPARQL spatial-join
+// operator, interlink's spatial link discovery and the Geographica
+// baseline systems all build on it.
 package rtree
 
 import (

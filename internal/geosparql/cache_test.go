@@ -116,7 +116,9 @@ func TestGeometryCacheSemantics(t *testing.T) {
 }
 
 // TestArenaBytesGauge: parsing publishes the arena footprint into an
-// installed registry.
+// installed registry, and a registry installed after the cache is warm
+// reads the live bytes at once (the cache is process-wide; it must not
+// read 0 until the next insertion), also when installed twice.
 func TestArenaBytesGauge(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetMetrics(reg)
@@ -130,5 +132,13 @@ func TestArenaBytesGauge(t *testing.T) {
 	}
 	if v := reg.Gauge("spatial_arena_bytes").Value(); v <= 0 {
 		t.Fatalf("spatial_arena_bytes = %v, want > 0", v)
+	}
+	_, want := GeometryCacheStats()
+	fresh := telemetry.NewRegistry()
+	for i := 0; i < 2; i++ {
+		SetMetrics(fresh)
+		if v := fresh.Gauge("spatial_arena_bytes").Value(); v != float64(want) {
+			t.Fatalf("install %d: spatial_arena_bytes = %v, want %d", i, v, want)
+		}
 	}
 }

@@ -14,9 +14,15 @@ import (
 var geoMetrics atomic.Pointer[telemetry.Registry]
 
 // SetMetrics installs (or, with nil, removes) the registry geosparql
-// reports into. Safe for concurrent use.
+// reports into, and publishes the parsed-geometry cache's live arena
+// bytes to it: the cache is process-wide, so a fresh registry must not
+// read 0 until the next insertion. Safe for concurrent use.
 func SetMetrics(r *telemetry.Registry) {
 	geoMetrics.Store(r)
+	if r != nil {
+		_, bytes := GeometryCacheStats()
+		noteArenaBytes(bytes)
+	}
 }
 
 func metricsReg() *telemetry.Registry {

@@ -6,9 +6,9 @@
 // paper cites as "scalable to very large datasets".
 //
 // Both tools avoid the O(n*m) comparison explosion with blocking: spatial
-// discovery assigns geometries to equi-grid cells and compares only
-// co-located pairs; entity resolution compares only entities sharing a
-// name token.
+// discovery bulk-loads the target envelopes into an STR R-tree and
+// compares only envelope-intersecting pairs; entity resolution compares
+// only entities sharing a name token.
 package interlink
 
 import (
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"applab/internal/geom"
+	"applab/internal/geom/rtree"
 	"applab/internal/rdf"
 )
 
@@ -104,95 +105,57 @@ func ObservationEntitiesFromGraph(g *rdf.Graph) []Entity {
 // SpatialLinker discovers links between geometric entities.
 type SpatialLinker struct {
 	// Relation is the geometric predicate (geom.Intersects, geom.Touches,
-	// ...).
+	// ...). It must be envelope-conservative: rel(a, b) implies the
+	// envelopes of a and b intersect.
 	Relation func(a, b geom.Geometry) bool
 	// Predicate is the IRI of emitted links (e.g. geo:sfIntersects).
 	Predicate string
-	// CellSize is the blocking grid cell size in coordinate units; <= 0
-	// picks a heuristic from the data extent.
-	CellSize float64
 	// Workers is the number of parallel verification workers (1 = serial).
 	Workers int
 }
 
-// Discover returns all (src, dst) pairs satisfying the relation, using
-// grid blocking.
+// Discover returns all (src, dst) pairs satisfying the relation. The dst
+// envelopes are bulk-loaded into an R-tree once; each worker probes it
+// with its strided share of src and verifies the candidates exactly.
 func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 	if len(src) == 0 || len(dst) == 0 {
 		return nil
 	}
-	cell := l.CellSize
-	if cell <= 0 {
-		ext := geom.EmptyEnvelope()
-		for _, e := range src {
-			ext = ext.Extend(e.Geom.Envelope())
-		}
-		for _, e := range dst {
-			ext = ext.Extend(e.Geom.Envelope())
-		}
-		// ~32x32 grid over the data extent.
-		w := ext.MaxX - ext.MinX
-		h := ext.MaxY - ext.MinY
-		cell = maxF(w, h) / 32
-		if cell <= 0 {
-			cell = 1
-		}
+	items := make([]rtree.Item, len(dst))
+	for i, d := range dst {
+		items[i] = rtree.Item{Env: d.Geom.Envelope(), Data: i}
 	}
-
-	// Block destination entities by covered cells.
-	dstCells := map[[2]int][]int{}
-	for i, e := range dst {
-		for _, c := range cellsOf(e.Geom.Envelope(), cell) {
-			dstCells[c] = append(dstCells[c], i)
-		}
-	}
+	tree := rtree.Bulk(items)
 
 	workers := l.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	type result struct {
-		links []Link
-	}
-	results := make([]result, workers)
+	results := make([][]Link, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			seen := map[[2]string]bool{}
 			var links []Link
 			for i := w; i < len(src); i += workers {
 				e := src[i]
-				env := e.Geom.Envelope()
-				for _, c := range cellsOf(env, cell) {
-					for _, di := range dstCells[c] {
-						d := dst[di]
-						key := [2]string{e.ID.Key(), d.ID.Key()}
-						if seen[key] {
-							continue
-						}
-						seen[key] = true
-						if e.ID.Equal(d.ID) {
-							continue
-						}
-						if !env.Intersects(d.Geom.Envelope()) {
-							continue
-						}
-						if l.Relation(e.Geom, d.Geom) {
-							links = append(links, Link{Source: e.ID, Target: d.ID,
-								Predicate: l.Predicate, Score: 1})
-						}
+				tree.Search(e.Geom.Envelope(), func(it rtree.Item) bool {
+					d := dst[it.Data.(int)]
+					if !e.ID.Equal(d.ID) && l.Relation(e.Geom, d.Geom) {
+						links = append(links, Link{Source: e.ID, Target: d.ID,
+							Predicate: l.Predicate, Score: 1})
 					}
-				}
+					return true
+				})
 			}
-			results[w] = result{links}
+			results[w] = links
 		}(w)
 	}
 	wg.Wait()
 	var out []Link
 	for _, r := range results {
-		out = append(out, r.links...)
+		out = append(out, r...)
 	}
 	sortLinks(out)
 	return out
@@ -213,36 +176,6 @@ func DiscoverNaive(src, dst []Entity, rel func(a, b geom.Geometry) bool, predica
 	}
 	sortLinks(out)
 	return out
-}
-
-func cellsOf(env geom.Envelope, cell float64) [][2]int {
-	minX := int(floorDiv(env.MinX, cell))
-	maxX := int(floorDiv(env.MaxX, cell))
-	minY := int(floorDiv(env.MinY, cell))
-	maxY := int(floorDiv(env.MaxY, cell))
-	var out [][2]int
-	for x := minX; x <= maxX; x++ {
-		for y := minY; y <= maxY; y++ {
-			out = append(out, [2]int{x, y})
-		}
-	}
-	return out
-}
-
-func floorDiv(v, cell float64) float64 {
-	q := v / cell
-	f := float64(int(q))
-	if q < 0 && q != f {
-		f--
-	}
-	return f
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func sortLinks(links []Link) {

@@ -15,34 +15,55 @@ func ent(id string, g geom.Geometry) Entity {
 	return Entity{ID: rdf.NewIRI("http://ex.org/" + id), Geom: g}
 }
 
+// TestSpatialLinkerMatchesNaive: blocked discovery returns exactly the
+// naive all-pairs links, in the same order, for every worker count.
 func TestSpatialLinkerMatchesNaive(t *testing.T) {
 	parks := workload.OSMParks(workload.VectorOptions{Extent: workload.ParisExtent, N: 60, Seed: 3})
 	clc := workload.CorineLandCover(workload.VectorOptions{Extent: workload.ParisExtent, N: 80, Seed: 4})
-	var src, dst []Entity
+	var osmSrc, clcDst []Entity
 	for _, f := range parks {
-		src = append(src, ent("osm/"+f.ID, f.Geom))
+		osmSrc = append(osmSrc, ent("osm/"+f.ID, f.Geom))
 	}
 	for _, f := range clc {
-		dst = append(dst, ent("clc/"+f.ID, f.Geom))
+		clcDst = append(clcDst, ent("clc/"+f.ID, f.Geom))
 	}
-	naive := DiscoverNaive(src, dst, geom.Intersects, rdf.NSGeo+"sfIntersects")
-	if len(naive) == 0 {
-		t.Fatal("naive discovery found nothing; bad workload")
+	cases := []struct {
+		name     string
+		src, dst []Entity
+	}{
+		{"osm x clc", osmSrc, clcDst},
+		// EntitiesFromGraph emits one entity per geo:hasGeometry, so an
+		// ID may repeat with different geometries: each (entity, target)
+		// pair is verified on its own, whatever the worker split.
+		{"repeated source id", []Entity{
+			ent("a", geom.NewRect(10, 10, 11, 11)), // far from b
+			ent("a", geom.NewRect(0, 0, 1, 1)),     // overlaps b
+			ent("a", geom.NewRect(0, 0, 1, 1)),     // overlaps b
+		}, []Entity{ent("b", geom.NewRect(0.5, 0.5, 2, 2))}},
 	}
-	for _, workers := range []int{1, 4} {
-		l := &SpatialLinker{Relation: geom.Intersects, Predicate: rdf.NSGeo + "sfIntersects", Workers: workers}
-		got := l.Discover(src, dst)
-		if len(got) != len(naive) {
-			t.Fatalf("workers=%d: %d links, naive %d", workers, len(got), len(naive))
+	for _, tc := range cases {
+		naive := DiscoverNaive(tc.src, tc.dst, geom.Intersects, rdf.NSGeo+"sfIntersects")
+		if len(naive) == 0 {
+			t.Fatalf("%s: naive discovery found nothing; bad workload", tc.name)
 		}
-		for i := range got {
-			if got[i] != naive[i] {
-				t.Fatalf("workers=%d: link %d differs: %+v vs %+v", workers, i, got[i], naive[i])
+		for _, workers := range []int{1, 2, 4} {
+			l := &SpatialLinker{Relation: geom.Intersects, Predicate: rdf.NSGeo + "sfIntersects", Workers: workers}
+			got := l.Discover(tc.src, tc.dst)
+			if len(got) != len(naive) {
+				t.Fatalf("%s workers=%d: %d links, naive %d", tc.name, workers, len(got), len(naive))
+			}
+			for i := range got {
+				if got[i] != naive[i] {
+					t.Fatalf("%s workers=%d: link %d differs: %+v vs %+v", tc.name, workers, i, got[i], naive[i])
+				}
 			}
 		}
 	}
 }
 
+// TestSpatialLinkerExplicitCellSize: a tiny input whose extents differ
+// by an order of magnitude still links exactly the overlapping pairs.
+// (The name predates the R-tree blocking, which has no cell size.)
 func TestSpatialLinkerExplicitCellSize(t *testing.T) {
 	a := []Entity{ent("a", geom.NewRect(0, 0, 1, 1))}
 	b := []Entity{
@@ -50,7 +71,7 @@ func TestSpatialLinkerExplicitCellSize(t *testing.T) {
 		ent("b2", geom.NewRect(10, 10, 11, 11)), // disjoint
 		ent("b3", geom.NewRect(0.9, 0.9, 5, 5)), // intersects
 	}
-	l := &SpatialLinker{Relation: geom.Intersects, Predicate: "p", CellSize: 0.5}
+	l := &SpatialLinker{Relation: geom.Intersects, Predicate: "p"}
 	links := l.Discover(a, b)
 	if len(links) != 2 {
 		t.Fatalf("links = %+v", links)
@@ -187,7 +208,7 @@ func TestBlockingScalesBetterThanNaive(t *testing.T) {
 	l := &SpatialLinker{Relation: func(a, b geom.Geometry) bool {
 		blockedCalls++
 		return geom.Intersects(a, b)
-	}, Predicate: "p", CellSize: 10}
+	}, Predicate: "p"}
 	l.Discover(src, dst)
 	if blockedCalls*10 > naiveCalls {
 		t.Errorf("blocking visited %d pairs, naive %d — expected >=10x reduction", blockedCalls, naiveCalls)

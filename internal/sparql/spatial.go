@@ -18,23 +18,19 @@ import (
 // the whole unit to a spatialJoinOp: the build side's WKT column is
 // batch-decoded into a columnar geom.Arena, an envelope index prunes
 // candidate pairs, and the registered exact predicate refines the
-// survivors. Three interchangeable candidate generators:
+// survivors. Two interchangeable candidate generators:
 //
 //   - "inl":   index nested loop — STR-bulk-load an R-tree over the
-//     build side, probe per probe-side row. Wins while the build side
-//     is small enough that the tree stays cache-resident.
-//   - "cells": Hilbert cell index (geom.CellIndex) — flat sorted
-//     buckets, no pointer chasing; the cell-partitioned choice when
-//     both sides are large.
+//     build side, probe per probe-side row.
 //   - "store": when the build side is the bare `?g geo:asWKT ?w` scan
 //     and the source has its own spatial index (strabon.Store's R-tree,
 //     via SpatialSource), probe the store directly and never
 //     materialize the build side at all.
 //
-// Every strategy emits identical rows in identical order (probe rows in
-// input order, candidates in build-row order), for any worker count —
-// the same determinism contract as hash join — and ticks the same
-// cancellation checkpoints.
+// Each strategy emits its rows in one fixed order for any worker count
+// (probe rows in input order; candidates in build-row order for inl,
+// canonical triple order for store) — the same determinism contract as
+// hash join — and both tick the same cancellation checkpoints.
 
 // SpatialSource is an optional extension of Source for backends with
 // their own spatial index over geo:asWKT triples. The spatial-join
@@ -77,24 +73,23 @@ func spatialRelation(iri string) (func(a, b geom.Geometry) bool, bool) {
 
 // Spatial-join modes accepted by SetSpatialJoin.
 const (
-	SpatialJoinAuto  = "auto"  // pick a strategy from runtime sizes
-	SpatialJoinOff   = "off"   // per-row filter path (the seed shape)
-	SpatialJoinINL   = "inl"   // force index nested loop
-	SpatialJoinCells = "cells" // force the Hilbert cell index
-	SpatialJoinStore = "store" // force the store index (falls back to auto)
+	SpatialJoinAuto = "auto" // store index when available, else inl
+	SpatialJoinOff  = "off"  // per-row filter path (the seed shape)
+	SpatialJoinINL  = "inl"  // force the R-tree nested loop
 )
 
-var (
-	cfgSpatialJoin  atomic.Value // string; empty = auto
-	cfgSpatialCells atomic.Int32 // grid order; 0 = geom.DefaultCellOrder
-)
+// spatialJoinStore is the strategy label auto mode reports when it
+// probes the source's own spatial index.
+const spatialJoinStore = "store"
 
-// SetSpatialJoin selects the spatial-join strategy ("auto", "off",
-// "inl", "cells", "store"); empty restores "auto". Safe for concurrent
-// use.
+var cfgSpatialJoin atomic.Value // string; empty = auto
+
+// SetSpatialJoin selects the spatial-join mode ("auto", "off", "inl");
+// empty restores "auto". Every mode returns the same answers. Safe for
+// concurrent use.
 func SetSpatialJoin(mode string) error {
 	switch mode {
-	case "", SpatialJoinAuto, SpatialJoinOff, SpatialJoinINL, SpatialJoinCells, SpatialJoinStore:
+	case "", SpatialJoinAuto, SpatialJoinOff, SpatialJoinINL:
 	default:
 		return fmt.Errorf("sparql: unknown spatial-join mode %q", mode)
 	}
@@ -112,28 +107,6 @@ func SpatialJoinMode() string {
 	}
 	return SpatialJoinAuto
 }
-
-// SetSpatialCells sets the Hilbert grid order for the cells strategy
-// (the grid is 2^order cells per side, clamped by internal/geom);
-// n <= 0 restores the default. Safe for concurrent use.
-func SetSpatialCells(order int) {
-	if order < 0 {
-		order = 0
-	}
-	cfgSpatialCells.Store(int32(order))
-}
-
-// SpatialCellOrder reports the effective grid order.
-func SpatialCellOrder() int {
-	if v := int(cfgSpatialCells.Load()); v > 0 {
-		return v
-	}
-	return geom.DefaultCellOrder
-}
-
-// spatialINLMaxBuild is the build-side row count up to which auto mode
-// prefers the R-tree nested loop over the cell-partitioned join.
-const spatialINLMaxBuild = 1024
 
 // ---- compile-time detection ----
 
@@ -463,8 +436,7 @@ func mergeRow(a, b row) (row, bool) {
 }
 
 func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
-	mode := SpatialJoinMode()
-	if sj.scan != nil && (mode == SpatialJoinAuto || mode == SpatialJoinStore) {
+	if sj.scan != nil && SpatialJoinMode() == SpatialJoinAuto {
 		if sp, ok := ec.src.(SpatialSource); ok {
 			if _, avail := sp.SpatialCandidates(geom.EmptyEnvelope()); avail {
 				return sj.runStore(ec, sp, in)
@@ -472,7 +444,9 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 		}
 	}
 
-	// Materialize and batch-decode the build side once.
+	// Materialize and batch-decode the build side once, and STR-load
+	// the R-tree over its envelopes; undecodable rows and empty
+	// envelopes stay out of it.
 	bRows, err := runOps(ec, sj.body, []row{make(row, len(in[0]))})
 	if err != nil {
 		return nil, err
@@ -482,48 +456,21 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 	}
 	bg := newGeomBatch()
 	bGeoms := make([]geom.Geometry, len(bRows))
-	bEnvs := make([]geom.Envelope, len(bRows))
+	items := make([]rtree.Item, 0, len(bRows))
 	n := 0
 	for bi, br := range bRows {
 		if err := ec.tick(&n); err != nil {
 			return nil, err
 		}
 		g, env, ok := bg.decode(br[sj.buildSlot])
-		if !ok {
-			bEnvs[bi] = geom.EmptyEnvelope()
+		if !ok || env.IsEmpty() {
 			continue
 		}
-		bGeoms[bi], bEnvs[bi] = g, env
+		bGeoms[bi] = g
+		items = append(items, rtree.Item{Env: env, Data: int32(bi)})
 	}
-
-	strategy := mode
-	if strategy == SpatialJoinStore || strategy == SpatialJoinAuto {
-		if len(bRows) <= spatialINLMaxBuild {
-			strategy = SpatialJoinINL
-		} else {
-			strategy = SpatialJoinCells
-		}
-	}
-
-	// Build the envelope index over the build side; empty envelopes
-	// (undecodable rows) are excluded from both generators.
-	var tree *rtree.Tree
-	var cells *geom.CellIndex
-	if strategy == SpatialJoinINL {
-		items := make([]rtree.Item, 0, len(bRows))
-		for bi, env := range bEnvs {
-			if err := ec.tick(&n); err != nil {
-				return nil, err
-			}
-			if !env.IsEmpty() {
-				items = append(items, rtree.Item{Env: env, Data: int32(bi)})
-			}
-		}
-		tree = rtree.Bulk(items)
-	} else {
-		cells = geom.BuildCellIndex(bEnvs, SpatialCellOrder())
-	}
-	noteSpatialJoin(strategy)
+	tree := rtree.Bulk(items)
+	noteSpatialJoin(SpatialJoinINL)
 
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
 		pb := newGeomBatch()
@@ -542,19 +489,12 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 			}
 			probes++
 			cand = cand[:0]
-			if tree != nil {
-				tree.Search(env, func(it rtree.Item) bool {
-					cand = append(cand, it.Data.(int32))
-					return true
-				})
-			} else {
-				cells.Probe(env, func(id int32) bool {
-					cand = append(cand, id)
-					return true
-				})
-			}
-			// Candidates come out in index order; sort by build-row index
-			// so every strategy emits the same rows in the same order.
+			tree.Search(env, func(it rtree.Item) bool {
+				cand = append(cand, it.Data.(int32))
+				return true
+			})
+			// Candidates come out in tree order; sort by build-row index
+			// so rows are emitted in the same order for any worker count.
 			sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
 			if err := ec.tickN(&n, len(cand)); err != nil {
 				return nil, err
@@ -583,7 +523,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 // spatial index per row and extend rows through the build-side scan
 // exactly like a nested-loop match would.
 func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]row, error) {
-	noteSpatialJoin(SpatialJoinStore)
+	noteSpatialJoin(spatialJoinStore)
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
 		pb := newGeomBatch()
 		var ar rowArena

@@ -14,7 +14,7 @@ import (
 )
 
 // The spatial-join operator must be invisible except for speed: every
-// strategy (R-tree nested loop, Hilbert cells, store pushdown) has to
+// strategy (R-tree nested loop, store pushdown) has to
 // produce exactly the rows the per-row filter path produces, in the
 // same order for any worker count. These tests pin the detection rules
 // and the equivalence.
@@ -53,7 +53,6 @@ func restoreSpatialKnobs(t *testing.T) {
 		if err := SetSpatialJoin(""); err != nil {
 			t.Fatal(err)
 		}
-		SetSpatialCells(0)
 	})
 }
 
@@ -234,27 +233,24 @@ func TestSpatialJoinMatchesFilterPath(t *testing.T) {
 		t.Fatal("compiled filter path disagrees with seed evaluator")
 	}
 
-	for _, mode := range []string{SpatialJoinAuto, SpatialJoinINL, SpatialJoinCells, SpatialJoinStore} {
-		for _, order := range []int{0, 3} {
-			if err := SetSpatialJoin(mode); err != nil {
-				t.Fatal(err)
+	for _, mode := range []string{SpatialJoinAuto, SpatialJoinINL} {
+		if err := SetSpatialJoin(mode); err != nil {
+			t.Fatal(err)
+		}
+		var firstOrdered string
+		for _, workers := range []int{1, 8} {
+			res, err := q.eval(g, workers, 1)
+			if err != nil {
+				t.Fatalf("mode=%s workers=%d: %v", mode, workers, err)
 			}
-			SetSpatialCells(order)
-			var firstOrdered string
-			for _, workers := range []int{1, 8} {
-				res, err := q.eval(g, workers, 1)
-				if err != nil {
-					t.Fatalf("mode=%s order=%d workers=%d: %v", mode, order, workers, err)
-				}
-				if resultsKey(res) != resultsKey(base) {
-					t.Fatalf("mode=%s order=%d workers=%d: %d rows, filter path %d rows",
-						mode, order, workers, len(res.Bindings), len(base.Bindings))
-				}
-				if firstOrdered == "" {
-					firstOrdered = orderedKey(res)
-				} else if orderedKey(res) != firstOrdered {
-					t.Fatalf("mode=%s order=%d: row order differs between worker counts", mode, order)
-				}
+			if resultsKey(res) != resultsKey(base) {
+				t.Fatalf("mode=%s workers=%d: %d rows, filter path %d rows",
+					mode, workers, len(res.Bindings), len(base.Bindings))
+			}
+			if firstOrdered == "" {
+				firstOrdered = orderedKey(res)
+			} else if orderedKey(res) != firstOrdered {
+				t.Fatalf("mode=%s: row order differs between worker counts", mode)
 			}
 		}
 	}
@@ -330,7 +326,9 @@ SELECT ?a ?b WHERE {
 		t.Fatal("baseline empty")
 	}
 
-	for _, mode := range []string{SpatialJoinStore, SpatialJoinAuto} {
+	// Auto mode probes the store index; forced inl must not, and both
+	// return the filter path's answer.
+	for _, mode := range []string{SpatialJoinAuto, SpatialJoinINL} {
 		if err := SetSpatialJoin(mode); err != nil {
 			t.Fatal(err)
 		}
@@ -350,8 +348,8 @@ SELECT ?a ?b WHERE {
 				t.Fatalf("mode=%s: row order differs between worker counts", mode)
 			}
 		}
-		if src.calls.Load() == 0 {
-			t.Fatalf("mode=%s never probed the store index", mode)
+		if probed := src.calls.Load() > 0; probed != (mode == SpatialJoinAuto) {
+			t.Fatalf("mode=%s: store index probed = %v", mode, probed)
 		}
 	}
 }
@@ -367,7 +365,7 @@ func TestSpatialJoinBudgetAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{SpatialJoinINL, SpatialJoinCells} {
+	for _, mode := range []string{SpatialJoinINL, SpatialJoinAuto} {
 		if err := SetSpatialJoin(mode); err != nil {
 			t.Fatal(err)
 		}
@@ -388,24 +386,18 @@ func TestSpatialJoinBudgetAbort(t *testing.T) {
 
 func TestSpatialKnobs(t *testing.T) {
 	restoreSpatialKnobs(t)
-	if err := SetSpatialJoin("bogus"); err == nil {
-		t.Fatal("SetSpatialJoin accepted an unknown mode")
+	for _, mode := range []string{"bogus", "cells", "store"} {
+		if err := SetSpatialJoin(mode); err == nil {
+			t.Fatalf("SetSpatialJoin accepted the unknown mode %q", mode)
+		}
 	}
 	if got := SpatialJoinMode(); got != SpatialJoinAuto {
 		t.Fatalf("default mode = %q", got)
 	}
-	if err := SetSpatialJoin(SpatialJoinCells); err != nil {
+	if err := SetSpatialJoin(SpatialJoinINL); err != nil {
 		t.Fatal(err)
 	}
-	if got := SpatialJoinMode(); got != SpatialJoinCells {
+	if got := SpatialJoinMode(); got != SpatialJoinINL {
 		t.Fatalf("mode after set = %q", got)
-	}
-	SetSpatialCells(5)
-	if got := SpatialCellOrder(); got != 5 {
-		t.Fatalf("cell order = %d", got)
-	}
-	SetSpatialCells(0)
-	if got := SpatialCellOrder(); got != geom.DefaultCellOrder {
-		t.Fatalf("default cell order = %d", got)
 	}
 }

@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages exercised under the race detector: the concurrent query stack
-# (sharded store, OPeNDAP caches, federation fan-out, interlinking) plus
+# (store, OPeNDAP caches, federation fan-out, interlinking) plus
 # the fault-injection harness, the SPARQL HTTP transport it exercises,
 # the segment storage engine (concurrent readers vs writer/flush), and
 # the spatial core (parallel join probes, bounded geometry cache).
@@ -37,18 +37,21 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short mutation runs over the binary/DAP parsers; ci.sh runs the same
-# targets. Each -fuzz invocation may match only one target.
+# Short mutation runs over the binary, DAP, SPARQL and wire decoders;
+# ci.sh runs the same targets. Each -fuzz invocation may match only one
+# target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=3s ./internal/netcdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDDS$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzApplyConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=3s ./internal/sparql/
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanKey$$' -fuzztime=3s ./internal/sparql/
 	$(GO) test -run='^$$' -fuzz='^FuzzResultsJSON$$' -fuzztime=3s ./internal/sparql/
-	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=3s ./internal/strabon/
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=3s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRecords$$' -fuzztime=3s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=3s ./internal/cluster/
 
 # Engine benchmarks: the in-package BenchmarkEngine_* family, the
 # seed-vs-compiled comparison recorded machine-readably in BENCH_PR3.json,
@@ -68,8 +71,8 @@ bench-telemetry:
 bench-budget:
 	$(GO) run ./cmd/applab-bench -budget-json BENCH_PR5.json
 
-# Segment store report (ingest throughput, cold start vs .astr replay,
-# memory-mode query overhead), recorded in BENCH_PR7.json; fails if
+# Segment store report (ingest throughput, cold start vs N-Triples
+# replay, memory-mode query overhead), recorded in BENCH_PR7.json; fails if
 # Engine_BGPJoin through the memory-mode store exceeds the 5% budget.
 bench-segment:
 	$(GO) run ./cmd/applab-bench -segment-json BENCH_PR7.json

@@ -429,33 +429,6 @@ func BenchmarkAblation_WKTParse(b *testing.B) {
 	})
 }
 
-// Ablation: sharded store (Rya-style prototype) vs single store on a
-// fan-out spatial query.
-func BenchmarkAblation_ShardedStore(b *testing.B) {
-	data := e5Data(5000)
-	env := geom.Envelope{MinX: 2, MinY: 2, MaxX: 6, MaxY: 6}
-	from := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	to := time.Date(2018, 9, 1, 0, 0, 0, 0, time.UTC)
-
-	single := strabon.New()
-	single.AddAll(data)
-	single.Freeze()
-	sharded := strabon.NewSharded(4)
-	sharded.AddAll(data)
-	sharded.Freeze()
-
-	b.Run("single", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			single.ObservationsDuring(env, from, to)
-		}
-	})
-	b.Run("sharded-4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sharded.ObservationsDuring(env, from, to)
-		}
-	})
-}
-
 // Ablation: federation source selection on vs off (capability cache
 // cleared before every query).
 func BenchmarkAblation_FederationSourceSelection(b *testing.B) {

@@ -51,6 +51,9 @@ echo "== repeat runs (process-global caches and metrics must not leak between ru
 go test -count=3 -run 'TestGoldenSpatialJoin|TestGoldenResultCache' ./internal/e2e/
 go test -count=3 ./internal/interlink/ ./internal/geographica/
 
+echo "== core counts (the fake-clock suites must pass at 1 and 8 procs)"
+go test -count=3 -cpu=1,8 ./internal/e2e/ ./internal/cluster/
+
 echo "== coverage gate (resilience stack)"
 # The retry/breaker/deadline machinery is all error paths; a coverage
 # floor keeps new branches from landing untested. Floors sit ~5pt under
@@ -90,9 +93,9 @@ go test -run='^$' -fuzz='^FuzzApplyConstraint$' -fuzztime=2s ./internal/opendap/
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=3s ./internal/sparql/
 go test -run='^$' -fuzz='^FuzzPlanKey$' -fuzztime=3s ./internal/sparql/
 go test -run='^$' -fuzz='^FuzzResultsJSON$' -fuzztime=3s ./internal/sparql/
-go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=3s ./internal/strabon/
 go test -run='^$' -fuzz='^FuzzSegmentOpen$' -fuzztime=3s ./internal/segment/
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=3s ./internal/segment/
+go test -run='^$' -fuzz='^FuzzDecodeLogRecords$' -fuzztime=3s ./internal/segment/
 go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime=3s ./internal/cluster/
 
 echo "== budget overhead gate (budgeted vs unlimited engine)"
@@ -104,8 +107,8 @@ echo "== segment store gate (ingest, cold start, memory-mode overhead)"
 # The disk-backed store may not slow the in-memory path down:
 # applab-bench fails when Engine_BGPJoin through the memory-mode
 # segment store exceeds the 5% ns/op overhead budget. The report also
-# records ingest throughput and the cold-start (footer open) vs .astr
-# (full image replay) latency this PR's lazy boot is built on.
+# records ingest throughput and the cold-start latency of the lazy boot
+# (segment footer open) vs a full N-Triples parse-and-ingest replay.
 go run ./cmd/applab-bench -segment-json BENCH_PR7.json
 
 echo "== spatial join gate (envelope index vs per-row filtering)"

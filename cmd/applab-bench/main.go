@@ -33,7 +33,7 @@ func main() {
 		jsonPath   = flag.String("json", "", "benchmark the SPARQL engine (seed vs compiled) and write the records to this file, then exit")
 		telePath   = flag.String("telemetry-json", "", "benchmark the engine instrumented vs uninstrumented, write the comparison to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
 		budgetPath = flag.String("budget-json", "", "benchmark the engine with vs without query budgets, write the comparison to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
-		segPath    = flag.String("segment-json", "", "benchmark the disk-backed segment store (ingest, cold start vs .astr, memory-mode query overhead), write the report to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
+		segPath    = flag.String("segment-json", "", "benchmark the disk-backed segment store (ingest, cold start vs N-Triples replay, memory-mode query overhead), write the report to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
 		spatPath   = flag.String("spatial-json", "", "benchmark the spatial join vs per-row filtering on Geographica join queries, write the report to this file (enforcing the speedup floor and the Engine_BGPJoin overhead budget), then exit")
 		cachePath  = flag.String("cache-json", "", "benchmark the plan-keyed result cache (federated upstream-request collapse and per-query lookup overhead), write the report to this file (enforcing the collapse floor and the Engine_BGPJoin overhead budget), then exit")
 		clustPath  = flag.String("cluster-json", "", "benchmark cluster serving (4-node vs 1-node read throughput in the queueing model, hedged vs unhedged slow-replica p99) on the deterministic fake clock, write the report to this file (enforcing the scaling and hedging floors), then exit")

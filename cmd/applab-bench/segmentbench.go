@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"applab/internal/rdf"
 	"applab/internal/segment"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
@@ -18,8 +19,8 @@ import (
 //  1. ingest: durable WAL-and-flush ingest throughput into a fresh
 //     data dir (the path cmd/strabon -load -data-dir takes),
 //  2. cold start: boot-to-first-answer from segment footers versus
-//     re-loading a full .astr image — the latency the lazy-boot fix
-//     removes from cmd/strabon,
+//     replaying the dataset (N-Triples parse and ingest into a fresh
+//     store) — the latency the lazy-boot fix removes from cmd/strabon,
 //  3. queries: every engine workload evaluated against the memory-mode
 //     store (segment engine, zero segments) versus the raw graph the
 //     seed store wrapped, enforcing that the engine indirection keeps
@@ -46,7 +47,7 @@ type segmentIngestRecord struct {
 
 type segmentColdStartRecord struct {
 	Triples         int     `json:"triples"`
-	AstrLoadNs      int64   `json:"astr_load_ns"`
+	ReplayNs        int64   `json:"replay_ns"`
 	SegmentOpenNs   int64   `json:"segment_open_ns"`
 	Speedup         float64 `json:"speedup"`
 	SegmentReplayed int     `json:"segment_wal_replayed"`
@@ -109,44 +110,43 @@ func runSegmentBenchJSON(path string) error {
 	// Section 2: cold start. Both paths end at the same place — the
 	// first correct Engine_BGPJoin answer — starting from nothing but
 	// files on disk.
-	astrPath := filepath.Join(dir, "image.astr")
-	img := strabon.New()
-	defer img.Close()
-	img.AddAll(triples)
-	f, err := os.Create(astrPath)
+	ntPath := filepath.Join(dir, "dataset.nt")
+	f, err := os.Create(ntPath)
 	if err != nil {
 		return err
 	}
-	if err := img.Save(f); err != nil {
+	if err := rdf.WriteNTriples(f, triples); err != nil {
 		f.Close()
-		return fmt.Errorf("save .astr: %w", err)
+		return fmt.Errorf("write N-Triples: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
 
-	coldAstr, err := bestColdNs(segmentColdTrials, func() error {
-		r, err := os.Open(astrPath)
+	coldReplay, err := bestColdNs(segmentColdTrials, func() error {
+		r, err := os.Open(ntPath)
 		if err != nil {
 			return err
 		}
-		defer r.Close()
-		loaded, err := strabon.Load(r)
+		parsed, _, err := rdf.ParseTurtle(r)
+		r.Close()
 		if err != nil {
 			return err
 		}
-		defer loaded.Close()
-		res, err := loaded.Query(firstQuery)
+		replay := strabon.New()
+		defer replay.Close()
+		replay.AddAll(parsed)
+		res, err := replay.Query(firstQuery)
 		if err != nil {
 			return err
 		}
 		if len(res.Bindings) == 0 {
-			return fmt.Errorf("empty cold .astr result")
+			return fmt.Errorf("empty cold replay result")
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("cold .astr: %w", err)
+		return fmt.Errorf("cold replay: %w", err)
 	}
 
 	var replayed int
@@ -171,9 +171,9 @@ func runSegmentBenchJSON(path string) error {
 	}
 	report.ColdStart = segmentColdStartRecord{
 		Triples:         len(triples),
-		AstrLoadNs:      coldAstr,
+		ReplayNs:        coldReplay,
 		SegmentOpenNs:   coldSeg,
-		Speedup:         float64(coldAstr) / float64(coldSeg),
+		Speedup:         float64(coldReplay) / float64(coldSeg),
 		SegmentReplayed: replayed,
 	}
 
@@ -217,8 +217,8 @@ func runSegmentBenchJSON(path string) error {
 	fmt.Printf("ingest %d triples in %v (%.0f triples/s, %d segments)\n",
 		report.Ingest.Triples, time.Duration(report.Ingest.NsTotal),
 		report.Ingest.TriplesPerSec, report.Ingest.Segments)
-	fmt.Printf("cold start: .astr load %v   segment open %v   speedup %.1fx\n",
-		time.Duration(report.ColdStart.AstrLoadNs),
+	fmt.Printf("cold start: N-Triples replay %v   segment open %v   speedup %.1fx\n",
+		time.Duration(report.ColdStart.ReplayNs),
 		time.Duration(report.ColdStart.SegmentOpenNs), report.ColdStart.Speedup)
 
 	data, err := json.MarshalIndent(report, "", "  ")

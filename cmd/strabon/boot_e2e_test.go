@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"applab/internal/segment"
+	"applab/internal/strabon"
 )
 
 // writeGoldenDataset writes an N-Triples file shaped like the paper's
@@ -170,4 +174,40 @@ func TestRunDataDirIncrementalIngest(t *testing.T) {
 	}
 	cancel()
 	<-result
+}
+
+// TestRunLoadRejectsBinaryImage: -load reads RDF text only. A binary
+// file — here one shaped like the retired "ASTR1" store image, under
+// its old .astr name — fails with an error naming the path, and the
+// data dir it was meant for stays empty.
+func TestRunLoadRejectsBinaryImage(t *testing.T) {
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	tmp := t.TempDir()
+	img := filepath.Join(tmp, "store.astr")
+	data := []byte("ASTR1")
+	data = binary.BigEndian.AppendUint32(data, 1) // one dictionary string
+	data = binary.BigEndian.AppendUint32(data, 3)
+	data = append(data, "abc"...)
+	data = binary.BigEndian.AppendUint64(data, 0) // no triples
+	if err := os.WriteFile(img, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dataDir := filepath.Join(tmp, "store")
+	err := run(context.Background(), []string{"-load", img, "-data-dir", dataDir}, nil)
+	if err == nil {
+		t.Fatal("binary -load accepted")
+	}
+	if !strings.Contains(err.Error(), img) {
+		t.Fatalf("error %q does not name %s", err, img)
+	}
+	st, err := strabon.Open(dataDir, segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := st.Len(); n != 0 {
+		t.Fatalf("data dir holds %d triples after a rejected load, want 0", n)
+	}
 }

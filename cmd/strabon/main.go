@@ -66,12 +66,10 @@ func main() {
 func run(ctx context.Context, args []string, ready func(name, addr string)) error {
 	fs := flag.NewFlagSet("strabon", flag.ContinueOnError)
 	var (
-		loads    = fs.String("load", "", "comma-separated RDF files (Turtle/N-Triples, or .astr store images)")
+		loads    = fs.String("load", "", "comma-separated RDF files (Turtle/N-Triples)")
 		query    = fs.String("query", "", "GeoSPARQL query to answer")
 		serve    = fs.String("serve", "", "address to serve a SPARQL endpoint on (e.g. :7860)")
 		federate = fs.String("federate", "", "comma-separated remote SPARQL endpoints to federate with")
-		shards   = fs.Int("shards", 1, "number of store shards (>1 enables the partitioned store)")
-		save     = fs.String("save", "", "write the loaded store as a binary image (.astr) and exit")
 
 		dataDir    = fs.String("data-dir", "", "directory for the disk-backed segment store (empty = in-memory); boots from segment footers, no dataset replay")
 		flushEvery = fs.Int("flush-every", 0, "memtable triples per segment flush (0 = engine default, <0 disables auto-flush)")
@@ -125,7 +123,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 	var count func() int
 	var registerStore func(*telemetry.Registry)
 	var closeStore func() error
-	segOpts := segment.Options{FlushEvery: *flushEvery, CompactAt: *compactAt}
 	switch {
 	case *clusterSpec != "":
 		groups, err := parseClusterGroups(*clusterSpec)
@@ -161,17 +158,8 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		count = func() int { return loaded }
 		registerStore = func(*telemetry.Registry) {}
 		closeStore = func() error { tr.Close(); return nil }
-	case *shards > 1 && *dataDir != "":
-		st, err := strabon.OpenSharded(*dataDir, *shards, segOpts)
-		if err != nil {
-			return err
-		}
-		src, load, count, registerStore, closeStore = st, st.AddAll, st.Len, st.RegisterMetrics, st.Close
-	case *shards > 1:
-		st := strabon.NewSharded(*shards)
-		src, load, count, registerStore, closeStore = st, st.AddAll, st.Len, st.RegisterMetrics, st.Close
 	case *dataDir != "":
-		st, err := strabon.Open(*dataDir, segOpts)
+		st, err := strabon.Open(*dataDir, segment.Options{FlushEvery: *flushEvery, CompactAt: *compactAt})
 		if err != nil {
 			return err
 		}
@@ -193,9 +181,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		}
 	}()
 
-	// -save is the only consumer of the full loaded triple set; without
-	// it nothing accumulates a second copy of the data in memory.
-	var allTriples []rdf.Triple
 	for _, path := range strings.Split(*loads, ",") {
 		path = strings.TrimSpace(path)
 		if path == "" {
@@ -205,47 +190,13 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		if err != nil {
 			return err
 		}
-		var triples []rdf.Triple
-		if strings.HasSuffix(path, ".astr") {
-			st, lerr := strabon.Load(f)
-			if lerr != nil {
-				f.Close()
-				return fmt.Errorf("%s: %v", path, lerr)
-			}
-			triples = st.Graph().Triples()
-			_ = st.Close()
-		} else {
-			triples, _, err = rdf.ParseTurtle(f)
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("%s: %v", path, err)
-			}
-		}
+		triples, _, err := rdf.ParseTurtle(f)
 		f.Close()
-		load(triples)
-		if *save != "" {
-			allTriples = append(allTriples, triples...)
-		}
-		log.Printf("loaded %s (%d triples total)", path, count())
-	}
-
-	if *save != "" {
-		tmp := strabon.New()
-		defer tmp.Close()
-		tmp.AddAll(allTriples)
-		f, err := os.Create(*save)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %v", path, err)
 		}
-		if err := tmp.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		log.Printf("saved %d triples to %s", tmp.Len(), *save)
-		return nil
+		load(triples)
+		log.Printf("loaded %s (%d triples total)", path, count())
 	}
 
 	localSrc := src

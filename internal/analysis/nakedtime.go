@@ -7,7 +7,7 @@ import (
 
 // PurePathSuffixes lists the import-path suffixes of packages that must
 // stay deterministic: SPARQL/GeoSPARQL evaluation and the geometry
-// kernels. Benchmarks (EXPERIMENTS.md) and the sharded store's merge
+// kernels. Benchmarks (EXPERIMENTS.md) and the cluster's shard-merge
 // invariants assume that evaluating the same query over the same data
 // yields identical results; a wall-clock read buried in evaluation code
 // breaks that and makes regressions unreproducible. Such code takes

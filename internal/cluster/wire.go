@@ -1,7 +1,8 @@
-// Package cluster promotes the in-process ShardedStore to a replicated
-// multi-node serving layer: consistent-hash placement of triples across
-// replica groups, node processes answering shard RPCs over a versioned
-// wire protocol, and a coordinator that pushes per-shard BGP fragments
+// Package cluster is applab's scale-out store (the paper's §5 Rya
+// direction): a replicated multi-node serving layer over strabon.Store
+// shards. It places triples across replica groups by consistent hash,
+// runs node processes answering shard RPCs over a versioned wire
+// protocol, and has a coordinator that pushes per-shard BGP fragments
 // through the query engine's exchange operator, hedging slow replicas
 // and degrading to partial answers when a whole replica group is down.
 //

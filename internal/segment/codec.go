@@ -14,8 +14,7 @@ import (
 // bounds-checked against the buffer it reads from: the formats are
 // opened on files that crashed mid-write or were corrupted at rest, so
 // a decoder must fail with an error — never panic, never allocate
-// proportionally to a declared-but-absent payload (the same contract
-// strabon.Load already enforces for store images).
+// proportionally to a declared-but-absent payload.
 const (
 	// maxStringLen caps a single encoded string (term value, datatype,
 	// language tag).
@@ -24,6 +23,11 @@ const (
 	maxTerms = 1 << 26
 	// maxTriples caps a run's row count and a WAL record's batch size.
 	maxTriples = 1 << 30
+	// minTripleBytes is the smallest encoded triple: three terms of a
+	// kind byte and an empty u32-prefixed value, plus the flags byte.
+	// WAL and wire payload decodes size their triple slice by the bytes
+	// present divided by it, never by the declared count alone.
+	minTripleBytes = 3*(1+4) + 1
 )
 
 var errCorrupt = errors.New("segment: corrupt encoding")
@@ -95,9 +99,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 // appendTerm encodes a term structurally: kind byte, value, and for
-// literals the datatype and language tag. Unlike the store-image
-// format there is no interning — WAL records are self-contained so a
-// torn tail never severs a reference another record depends on.
+// literals the datatype and language tag. There is no interning — WAL
+// records are self-contained so a torn tail never severs a reference
+// another record depends on.
 func appendTerm(b []byte, t rdf.Term) []byte {
 	b = append(b, byte(t.Kind))
 	b = appendString(b, t.Value)

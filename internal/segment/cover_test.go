@@ -12,7 +12,6 @@ import (
 
 	"applab/internal/faults"
 	"applab/internal/rdf"
-	"applab/internal/telemetry"
 )
 
 // Hostile-input and error-path tests: everything here drives the
@@ -528,27 +527,5 @@ func TestBackgroundCompactionError(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRegisterMetricsLabels: the labeled registration path (what the
-// sharded store uses per shard) snapshots per-engine values.
-func TestRegisterMetricsLabels(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e := New()
-	mustAdd(t, e, nTriples(3)...)
-	RegisterMetrics(reg, e, "shard", "7")
-	snap := reg.Snapshot()
-	found := false
-	for name, v := range snap.Gauges {
-		if strings.Contains(name, "segment_memtable_triples") && strings.Contains(name, "shard") {
-			found = true
-			if v != 3 {
-				t.Fatalf("labeled memtable gauge = %v, want 3", v)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no labeled segment gauge in snapshot: %v", snap.Gauges)
 	}
 }

@@ -68,6 +68,7 @@ func DecodeLogRecords(data []byte) ([]LogRecord, error) {
 	var recs []LogRecord
 	var pending []rdf.Triple
 	var pendingOp byte
+	inGroup := false // a frame flagged "more" opened a chunk group
 	pos := 0
 	for pos < len(data) {
 		rest := data[pos:]
@@ -89,18 +90,18 @@ func DecodeLogRecords(data []byte) ([]LogRecord, error) {
 			return nil, err
 		}
 		pos += 8 + int(n)
-		if len(pending) > 0 && op.op != pendingOp {
+		if inGroup && op.op != pendingOp {
 			return nil, fmt.Errorf("segment: wire chunk group switched op mid-batch")
 		}
 		pendingOp = op.op
 		pending = append(pending, op.triples...)
-		if op.more {
+		if inGroup = op.more; inGroup {
 			continue
 		}
 		recs = append(recs, LogRecord{Delete: pendingOp == opDelete, Triples: pending})
 		pending = nil
 	}
-	if len(pending) > 0 {
+	if inGroup {
 		return nil, fmt.Errorf("segment: wire chunk group missing its final frame")
 	}
 	return recs, nil

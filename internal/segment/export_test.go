@@ -71,6 +71,18 @@ func TestDecodeLogRecordsStrict(t *testing.T) {
 	if recs, err := DecodeLogRecords(nil); err != nil || len(recs) != 0 {
 		t.Fatalf("empty input: %v %v", recs, err)
 	}
+	// The hostile FuzzDecodeLogRecords seeds are refused, each within
+	// the allocation budget of its own length.
+	for _, h := range hostileLogRecords(t) {
+		t.Run(h.name, func(t *testing.T) {
+			if recs, err := DecodeLogRecords(h.data); err == nil {
+				t.Fatalf("accepted as %d records", len(recs))
+			}
+			if got, limit := decodeAllocBytes(h.data), decodeAllocBudget(len(h.data)); got > limit {
+				t.Fatalf("allocated %d bytes, budget %d", got, limit)
+			}
+		})
+	}
 }
 
 func TestLogRecordChunkGroups(t *testing.T) {

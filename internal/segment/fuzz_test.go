@@ -1,19 +1,24 @@
 package segment
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"applab/internal/faults"
 	"applab/internal/rdf"
 )
 
-// Fuzz targets for the two decoders that open hostile files: run
-// images (FuzzSegmentOpen) and write-ahead logs (FuzzWALReplay). The
-// invariant under fuzz is the same as strabon.Load's: corrupt input
-// must produce an error (or, for the WAL, a shorter committed prefix)
-// — never a panic, never an allocation proportional to a declared but
+// Fuzz targets for the three decoders that read hostile bytes: run
+// images (FuzzSegmentOpen), write-ahead logs (FuzzWALReplay) and the
+// AWAL1 record stream cluster peers ship over the wire
+// (FuzzDecodeLogRecords). The invariant under fuzz: corrupt input must
+// produce an error (or, for the WAL, a shorter committed prefix) —
+// never a panic, never an allocation proportional to a declared but
 // absent payload. Seeds are real encodings plus deterministic
 // truncations and bit-flips from the faults injector.
 
@@ -163,6 +168,152 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if err := w.append(opAdd, []rdf.Triple{tri("post", "fuzz", "append")}); err != nil {
 			t.Fatalf("append after repair failed: %v", err)
+		}
+	})
+}
+
+// wireFrame frames a raw payload the way encodeFrames does: length,
+// CRC, payload. Hostile seeds use it to build frames whose CRC is
+// valid, so the decoder's structural checks are what rejects them.
+func wireFrame(payload []byte) []byte {
+	frame := appendU32(nil, uint32(len(payload)))
+	frame = appendU32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// wirePayload builds a record payload: op byte (with the chunk-group
+// "more" flag when more is set), triple count, triples.
+func wirePayload(op byte, more bool, triples ...rdf.Triple) []byte {
+	if more {
+		op |= walMore
+	}
+	p := appendU32([]byte{op}, uint32(len(triples)))
+	for _, t := range triples {
+		p = appendTriple(p, t)
+	}
+	return p
+}
+
+// seedLogRecords encodes a small record stream for the corpus: adds,
+// a delete, an empty batch, and a valid-time, language-tagged literal.
+func seedLogRecords(tb testing.TB) []byte {
+	tb.Helper()
+	vt := rdf.NewTriple(rdf.NewIRI("http://ex/obs"), rdf.NewIRI("http://ex/label"), rdf.NewLangLiteral("feuille", "fr"))
+	vt.ValidFrom = time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
+	vt.ValidTo = vt.ValidFrom.Add(24 * time.Hour)
+	img, err := AppendLogRecords(nil, []LogRecord{
+		{Triples: nTriples(5)},
+		{Delete: true, Triples: nTriples(2)},
+		{},
+		{Triples: []rdf.Triple{vt, litTri("s", "label", "Leaf Area Index")}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+// seedChunkGroup encodes one batch as a multi-frame chunk group by
+// shrinking the writer's chunk cap while it encodes.
+func seedChunkGroup(tb testing.TB) []byte {
+	tb.Helper()
+	old := walChunkPayload
+	walChunkPayload = 256
+	defer func() { walChunkPayload = old }()
+	img, err := EncodeLogRecord(LogRecord{Triples: nTriples(30)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+// hostileLogRecord is a record stream the wire decoder must refuse,
+// built to defeat one check.
+type hostileLogRecord struct {
+	name string
+	data []byte
+}
+
+func hostileLogRecords(tb testing.TB) []hostileLogRecord {
+	tb.Helper()
+	group := seedChunkGroup(tb)
+	firstFrame := group[:8+int(binary.BigEndian.Uint32(group))]
+	one := tri("s", "p", "o")
+	return []hostileLogRecord{
+		// A header declaring the largest legal frame over 4 bytes.
+		{"huge_frame_length", append(appendU32(appendU32(nil, maxWALRecord), 0), "abcd"...)},
+		// A valid frame whose payload declares 2^30 triples and holds none.
+		{"huge_triple_count", wireFrame(appendU32([]byte{opAdd}, maxTriples))},
+		{"missing_final_frame", firstFrame},
+		{"op_switch_mid_group", append(wireFrame(wirePayload(opAdd, true, one)),
+			wireFrame(wirePayload(opDelete, false, one))...)},
+		// The same switch after an empty first chunk.
+		{"op_switch_after_empty_chunk", append(wireFrame(wirePayload(opAdd, true)),
+			wireFrame(wirePayload(opDelete, false, one))...)},
+		{"empty_unfinished_group", wireFrame(wirePayload(opDelete, true))},
+	}
+}
+
+// decodeAllocBytes returns the bytes DecodeLogRecords allocates on
+// data (the smaller of two measurements, so an allocation by some
+// other goroutine cannot fail the check on its own).
+func decodeAllocBytes(data []byte) uint64 {
+	measure := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = DecodeLogRecords(data)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	return min(measure(), measure())
+}
+
+// decodeAllocBudget bounds what decoding n input bytes may allocate:
+// the decoded triples and strings (a triple encodes in at least
+// minTripleBytes, so a few hundred bytes of rdf.Triple per input byte
+// at most, slice growth included) plus fixed overhead.
+func decodeAllocBudget(n int) uint64 { return 64<<10 + 256*uint64(n) }
+
+func FuzzDecodeLogRecords(f *testing.F) {
+	for _, img := range [][]byte{seedLogRecords(f), seedChunkGroup(f)} {
+		f.Add(img)
+		for _, v := range faults.Truncations(img, 2019, 24) {
+			f.Add(v)
+		}
+	}
+	for _, h := range hostileLogRecords(f) {
+		f.Add(h.data)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, limit := decodeAllocBytes(data), decodeAllocBudget(len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(data), got, limit)
+		}
+		recs, err := DecodeLogRecords(data)
+		if err != nil {
+			return // corrupt, torn or unfinished input correctly rejected
+		}
+		img, err := AppendLogRecords(nil, recs)
+		if err != nil {
+			t.Fatalf("accepted records failed to re-encode: %v", err)
+		}
+		back, err := DecodeLogRecords(img)
+		if err != nil {
+			t.Fatalf("re-encoded records failed to decode: %v", err)
+		}
+		if len(back) != len(recs) {
+			t.Fatalf("round trip changed record count: %d vs %d", len(back), len(recs))
+		}
+		for i, rec := range recs {
+			if back[i].Delete != rec.Delete || len(back[i].Triples) != len(rec.Triples) {
+				t.Fatalf("record %d changed across the round trip", i)
+			}
+			for j, tr := range rec.Triples {
+				if tripleKey(back[i].Triples[j]) != tripleKey(tr) {
+					t.Fatalf("record %d triple %d: %v became %v", i, j, tr, back[i].Triples[j])
+				}
+			}
 		}
 	})
 }

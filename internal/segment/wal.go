@@ -227,12 +227,10 @@ func decodeWALPayload(payload []byte) (walOp, error) {
 	if count > maxTriples {
 		return walOp{}, errCorrupt
 	}
-	// Preallocation capped: the declared count only sizes the slice up
-	// to a bound, real decodes grow it (strabon.Load's rule).
-	hint := count
-	if hint > 1<<14 {
-		hint = 1 << 14
-	}
+	// Preallocation capped by the bytes actually present: a valid
+	// payload holds count triples of at least minTripleBytes each, so
+	// only a hostile count is cut down to what the payload could hold.
+	hint := min(int(count), c.remaining()/minTripleBytes)
 	triples := make([]rdf.Triple, 0, hint)
 	for i := uint32(0); i < count; i++ {
 		t, err := c.triple()

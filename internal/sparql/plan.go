@@ -13,9 +13,9 @@ import (
 // StatsSource is an optional extension of Source for backends that can
 // estimate pattern cardinalities. The BGP planner uses it to reorder
 // triple patterns most-selective-first and to size hash-join builds.
-// rdf.Graph, strabon.Store, strabon.ShardedStore, obda.VirtualGraph and
-// federation.Federation implement it; sources without statistics are
-// evaluated in textual pattern order, exactly like the seed engine.
+// rdf.Graph, strabon.Store, obda.VirtualGraph and federation.Federation
+// implement it; sources without statistics are evaluated in textual
+// pattern order, exactly like the seed engine.
 // A disk-backed strabon.Store answers from the per-term index footers
 // of its segment files, so the planner gets statistics without the
 // store materializing anything.

@@ -231,117 +231,3 @@ SELECT ?g WHERE { ?f geo:hasGeometry ?g }`
 		t.Fatalf("store error: %v", err)
 	}
 }
-
-// TestShardedDiskReopen pins the owner-miss fan-out: after reopening
-// disk-backed shards the routing cache is empty, and subject-bound
-// queries must still find their triples.
-func TestShardedDiskReopen(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenSharded(dir, 3, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := buildParkData(t, 60)
-	st.AddAll(data)
-	subject := rdf.NewIRI(rdf.NSOSM + "park1")
-	warm := len(st.Match(subject, rdf.Term{}, rdf.Term{}))
-	if warm == 0 {
-		t.Fatal("warm subject-bound match empty")
-	}
-	warmLen := st.Len()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cold, err := OpenSharded(dir, 3, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	if got := len(cold.Match(subject, rdf.Term{}, rdf.Term{})); got != warm {
-		t.Fatalf("cold subject-bound match = %d, want %d (owner-miss fan-out broken)", got, warm)
-	}
-	if est := cold.Cardinality(subject, rdf.Term{}, rdf.Term{}); est < warm {
-		t.Fatalf("cold subject-bound cardinality %d < actual %d", est, warm)
-	}
-	if cold.Len() != warmLen {
-		t.Fatalf("cold Len %d, warm %d", cold.Len(), warmLen)
-	}
-}
-
-// TestShardedReopenPlacement pins AddAll's placement after a reopen:
-// the owner cache is empty, so without a shard probe a follow-up batch
-// (no geometry edges this time, so each subject's union-find root is
-// batch-dependent) would be hash-placed and could land a subject's new
-// triples on a different shard than its stored history — making the
-// owner table point at the partial shard and subject-bound queries
-// silently incomplete. With several subjects the misplacement is
-// near-certain under the old scheme, so this test fails loudly on a
-// regression.
-func TestShardedReopenPlacement(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenSharded(dir, 4, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	geo := func(local string) rdf.Term { return rdf.NewIRI(rdf.NSGeo + local) }
-	// Each group: two features obsA_i and obsB_i sharing one geometry
-	// node. The union-find root of the group is whichever member the
-	// batch unions last — batch-dependent — so a follow-up batch naming
-	// only obsA_i computes a DIFFERENT root than this one did, and
-	// hash-placement would scatter its triples away from the group's
-	// shard for ~3 in 4 subjects. Only the shard probe places them
-	// correctly after the owner cache is lost to a reopen.
-	const nSub = 24
-	var first []rdf.Triple
-	for i := 0; i < nSub; i++ {
-		obsA := rdf.NewIRI(fmt.Sprintf("%sobsA%d", rdf.NSLAI, i))
-		obsB := rdf.NewIRI(fmt.Sprintf("%sobsB%d", rdf.NSLAI, i))
-		gnode := rdf.NewIRI(fmt.Sprintf("%sgeom%d", rdf.NSLAI, i))
-		first = append(first,
-			rdf.NewTriple(obsA, rdf.NewIRI(rdf.NSLAI+"lai"), rdf.NewDouble(float64(i))),
-			rdf.NewTriple(obsA, geo("hasGeometry"), gnode),
-			rdf.NewTriple(obsB, geo("hasGeometry"), gnode),
-			rdf.NewTriple(gnode, geo("asWKT"), rdf.NewWKT(fmt.Sprintf("POINT (%d %d)", i, i))),
-		)
-	}
-	st.AddAll(first)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cold, err := OpenSharded(dir, 4, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	// Second batch: one new triple per obsA subject, no geometry edges.
-	var second []rdf.Triple
-	for i := 0; i < nSub; i++ {
-		obsA := rdf.NewIRI(fmt.Sprintf("%sobsA%d", rdf.NSLAI, i))
-		second = append(second,
-			rdf.NewTriple(obsA, rdf.NewIRI(rdf.NSLAI+"quality"), rdf.NewDouble(0.5)))
-	}
-	cold.AddAll(second)
-
-	if got, want := cold.Len(), len(first)+len(second); got != want {
-		t.Fatalf("Len = %d, want %d (misplaced triples double-counted or lost)", got, want)
-	}
-	for i := 0; i < nSub; i++ {
-		obsA := rdf.NewIRI(fmt.Sprintf("%sobsA%d", rdf.NSLAI, i))
-		// The owner table now has an entry for obsA, so Match uses the
-		// owning shard alone: it must hold BOTH batches' triples.
-		got := cold.Match(obsA, rdf.Term{}, rdf.Term{})
-		if len(got) != 3 {
-			t.Fatalf("obsA%d: owner-shard match = %d triples, want 3 (new triples split from stored history)", i, len(got))
-		}
-	}
-	// Co-location survives: each feature still shares a shard with its
-	// geometry node, so the spatial fan-out finds every point.
-	for i := 0; i < nSub; i++ {
-		gnode := rdf.NewIRI(fmt.Sprintf("%sgeom%d", rdf.NSLAI, i))
-		if n := len(cold.Match(gnode, rdf.Term{}, rdf.Term{})); n != 1 {
-			t.Fatalf("geom%d: match = %d, want 1", i, n)
-		}
-	}
-}

@@ -64,49 +64,3 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
 		t.Errorf("GeometryCount = %d, want 61", got)
 	}
 }
-
-func TestShardedStoreConcurrentAddAndMatch(t *testing.T) {
-	s := NewSharded(4)
-	const writers, batches, perBatch = 4, 10, 20
-
-	var wg sync.WaitGroup
-	// Writers grow the subject->shard ownership map ...
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := 0; b < batches; b++ {
-				ts := make([]rdf.Triple, 0, perBatch)
-				for i := 0; i < perBatch; i++ {
-					sub := rdf.NewIRI(fmt.Sprintf("http://ex/s-%d-%d-%d", w, b, i))
-					ts = append(ts,
-						rdf.NewTriple(sub, rdf.NewIRI("http://ex/p"),
-							rdf.NewIRI(fmt.Sprintf("http://ex/o%d", i%7))))
-				}
-				s.AddAll(ts)
-			}
-		}(w)
-	}
-	// ... while readers consult it through subject-bound and unbound Match.
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 60; i++ {
-				sub := rdf.NewIRI(fmt.Sprintf("http://ex/s-%d-%d-%d", r, i%batches, i%perBatch))
-				s.Match(sub, rdf.Term{}, rdf.Term{})
-				s.Match(rdf.Term{}, rdf.NewIRI("http://ex/p"), rdf.Term{})
-				s.Len()
-			}
-		}(r)
-	}
-	wg.Wait()
-
-	if got, want := s.Len(), writers*batches*perBatch; got != want {
-		t.Fatalf("Len after concurrent AddAll = %d, want %d", got, want)
-	}
-	sub := rdf.NewIRI("http://ex/s-0-0-0")
-	if got := s.Match(sub, rdf.Term{}, rdf.Term{}); len(got) != 1 {
-		t.Fatalf("subject-bound Match found %d triples, want 1", len(got))
-	}
-}
